@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all test check bench bench-json serve-smoke fleet-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint soak soak-smoke doc examples clean
+.PHONY: all test check bench bench-json serve-smoke fleet-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint soak soak-smoke perfbench doc examples clean
 
 all:
 	dune build @all
@@ -51,6 +51,27 @@ soak:
 # One short round of the same gate, at PR speed.
 soak-smoke:
 	sh scripts/chaos_soak.sh --smoke
+
+# The repository benchmark (BENCHMARK.json): each workload built from
+# source and driven by perfbench/run.py for SECONDS, seeded by SEED.
+# Each workload's full output lands in .perfbench_run/<workload>.out and
+# its last line (the result object) is echoed; the target fails unless
+# that line reports "correct": true.
+SEED ?= 1
+SECONDS ?= 30
+PERFBENCH_WORKLOADS = idct-fleet gen100k-steps
+
+perfbench:
+	@mkdir -p .perfbench_run
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  out=.perfbench_run/$$w.out; \
+	  python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 > $$out; \
+	  status=$$?; \
+	  echo "$$w: $$(tail -n 1 $$out)"; \
+	  if [ $$status -ne 0 ] || ! tail -n 1 $$out | grep -q '"correct": true'; then \
+	    echo "perfbench: $$w failed (exit $$status, output in $$out)" >&2; exit 1; \
+	  fi; \
+	done
 
 # Concurrent-client service throughput/latency (writes BENCH_PR4.json,
 # including the worker pool scaling sweep).

@@ -101,6 +101,67 @@ let fold_true f init t =
   iter_true (fun i -> acc := f !acc i) t;
   !acc
 
+(* Trailing zeros of the 32-bit payload of [x]; 32 when it is zero
+   (the mask below the lowest set bit is then all ones). *)
+let ctz32 x = popcount32 ((x land -x) - 1)
+
+(* Built back to front, one cons per element: the top word's highest
+   bit is consed first. *)
+let map_true f t =
+  let acc = ref [] in
+  for w = Array.length t.words - 1 downto 0 do
+    let bits = Array.unsafe_get t.words w in
+    if bits <> 0 then begin
+      let base = w * bits_per_word in
+      for b = bits_per_word - 1 downto 0 do
+        if bits land (1 lsl b) <> 0 then acc := f (base + b) :: !acc
+      done
+    end
+  done;
+  !acc
+
+let take_true t k =
+  let acc = ref [] and left = ref k and w = ref 0 in
+  let nw = Array.length t.words in
+  while !left > 0 && !w < nw do
+    let bits = ref (Array.unsafe_get t.words !w) in
+    while !left > 0 && !bits <> 0 do
+      acc := ((!w * bits_per_word) + ctz32 !bits) :: !acc;
+      decr left;
+      bits := !bits land (!bits - 1)
+    done;
+    incr w
+  done;
+  List.rev !acc
+
+(* One pass over the words, two trailing-zero counts per run boundary:
+   inside a run, count the ones still ahead in this word; outside,
+   count the zeros.  A run reaching the top of a word stays open into
+   the next one, so runs crossing word boundaries come out whole. *)
+let iter_runs f t =
+  let start = ref (-1) in
+  for w = 0 to Array.length t.words - 1 do
+    let bits = Array.unsafe_get t.words w in
+    if not ((bits = 0 && !start < 0) || (bits = 0xFFFFFFFF && !start >= 0)) then begin
+      let base = w * bits_per_word in
+      let pos = ref 0 in
+      while !pos < bits_per_word do
+        if !start >= 0 then begin
+          pos := !pos + ctz32 (lnot (bits lsr !pos));
+          if !pos < bits_per_word then begin
+            f !start (base + !pos);
+            start := -1
+          end
+        end
+        else begin
+          pos := !pos + ctz32 (bits lsr !pos);
+          if !pos < bits_per_word then start := base + !pos
+        end
+      done
+    end
+  done;
+  if !start >= 0 then f !start t.length
+
 let equal a b =
   a.length = b.length
   &&

@@ -54,6 +54,19 @@ val iter_true : (int -> unit) -> t -> unit
 
 val fold_true : ('a -> int -> 'a) -> 'a -> t -> 'a
 
+val map_true : (int -> 'a) -> t -> 'a list
+(** [f i] for every set index, in ascending order of [i], with one
+    cons per element (no intermediate reversed list). *)
+
+val take_true : t -> int -> int list
+(** The first [k] set indices, ascending; stops walking once it has
+    them, so a short page of a large set reads only its first words. *)
+
+val iter_runs : (int -> int -> unit) -> t -> unit
+(** [f lo hi] for every maximal run [\[lo, hi)] of consecutive set
+    indices, in ascending order.  Runs crossing word boundaries are
+    reported whole. *)
+
 val equal : t -> t -> bool
 (** Same length and same bits. *)
 

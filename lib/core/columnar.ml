@@ -22,15 +22,17 @@ type prop_column = {
 }
 
 type t = {
-  qids : string array;
-  cores : Core.t array;
+  entries : (string * Core.t) array; (* (qualified id, core) by dense id *)
+  image : string; (* "#" ^ qid of every core, concatenated in id order *)
+  offsets : int array; (* id -> start of its "#qid" in [image]; [n] -> end *)
   merits : (string, merit_column) Hashtbl.t;
   props : (string, prop_column) Hashtbl.t;
 }
 
-let length t = Array.length t.qids
-let qid t i = t.qids.(i)
-let core t i = t.cores.(i)
+let length t = Array.length t.entries
+let entry t i = t.entries.(i)
+let qid t i = fst t.entries.(i)
+let core t i = snd t.entries.(i)
 
 let merit_column t name =
   match Hashtbl.find_opt t.merits name with
@@ -51,13 +53,12 @@ let property_matches t ~key ~value =
         let c = Array.unsafe_get codes i in
         c = 0 || c = code)
 
-let build ~qids ~cores =
-  let n = Array.length cores in
-  if Array.length qids <> n then invalid_arg "Columnar.build: array length mismatch";
+let build entries =
+  let n = Array.length entries in
   let merits = Hashtbl.create 16 in
   let props = Hashtbl.create 16 in
   for i = 0 to n - 1 do
-    let c = cores.(i) in
+    let c = snd entries.(i) in
     List.iter
       (fun (name, v) ->
         let col =
@@ -92,4 +93,44 @@ let build ~qids ~cores =
         col.codes.(i) <- code)
       c.Core.properties
   done;
-  { qids; cores; merits; props }
+  let offsets = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offsets.(i + 1) <- offsets.(i) + 1 + String.length (fst entries.(i))
+  done;
+  let image = Bytes.create offsets.(n) in
+  Array.iteri
+    (fun i (qid, _) ->
+      Bytes.set image offsets.(i) '#';
+      Bytes.blit_string qid 0 image (offsets.(i) + 1) (String.length qid))
+    entries;
+  { entries; image = Bytes.unsafe_to_string image; offsets; merits; props }
+
+(* The bytes [digest_ids] hashes are written into a scratch buffer
+   owned by the calling domain ([Stdlib.Domain]: this library's own
+   [Domain] is the design-issue domain module).  Systhreads of one
+   domain share the key, so a caller swaps the buffer out of its slot
+   while it fills it, and a second thread that finds the slot empty
+   allocates its own. *)
+let scratch = Stdlib.Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
+
+let digest_ids t ~prefix bits =
+  if Bitset.length bits > length t then invalid_arg "Columnar.digest_ids: bitset too long";
+  let slot = Stdlib.Domain.DLS.get scratch in
+  let buf = Atomic.exchange slot Bytes.empty in
+  let plen = String.length prefix in
+  let buf =
+    let need = plen + String.length t.image in
+    if Bytes.length buf >= need then buf else Bytes.create need
+  in
+  Bytes.blit_string prefix 0 buf 0 plen;
+  let pos = ref plen in
+  Bitset.iter_runs
+    (fun lo hi ->
+      let a = Array.unsafe_get t.offsets lo in
+      let len = Array.unsafe_get t.offsets hi - a in
+      Bytes.blit_string t.image a buf !pos len;
+      pos := !pos + len)
+    bits;
+  let d = Digest.subbytes buf 0 !pos in
+  Atomic.set slot buf;
+  d

@@ -59,10 +59,6 @@ type slot = {
 type survivors = {
   sv_bits : Bitset.t; (* over the index's dense-id universe *)
   mutable sv_count : int; (* memoized popcount; -1 until first asked *)
-  mutable sv_list : (string * Ds_reuse.Core.t) list option;
-      (* memoized materialization in ascending-id (= index insertion)
-         order; filled lazily, so count/range queries on large layers
-         never build the list at all *)
 }
 
 type survivor_set =
@@ -334,11 +330,11 @@ let store_survivor_list t ~key cores =
   locked t (fun () -> Clock_cache.store t.survivors key (S_list cores))
 
 let store_survivor_bits t ~key bits =
-  let sv = { sv_bits = bits; sv_count = -1; sv_list = None } in
+  let sv = { sv_bits = bits; sv_count = -1 } in
   locked t (fun () -> Clock_cache.store t.survivors key (S_bits sv));
   sv
 
-(* The memo writes below are idempotent (deterministic value per
+(* The memo write below is idempotent (deterministic value per
    immutable bitset), so the unsynchronized mutation is benign even
    when two domains race on one entry. *)
 let survivor_count sv =
@@ -348,14 +344,6 @@ let survivor_count sv =
     sv.sv_count <- c;
     c
   end
-
-let survivor_list sv ~entry_at =
-  match sv.sv_list with
-  | Some l -> l
-  | None ->
-    let l = List.rev (Bitset.fold_true (fun acc i -> entry_at i :: acc) [] sv.sv_bits) in
-    sv.sv_list <- Some l;
-    l
 
 let find_summary t ~key = locked t (fun () -> Clock_cache.find t.summaries key)
 let store_summary t ~key summary = locked t (fun () -> Clock_cache.store t.summaries key summary)

@@ -161,11 +161,10 @@ val slot : ?universe:int -> t -> cc:string -> gen:int -> focus:string -> Slot.t
 (** {2 Survivor sets} *)
 
 (** A columnar survivor set: the bitset is authoritative (bit = dense
-    id survives); count and list are lazily memoized projections. *)
+    id survives); the count is a lazily memoized popcount. *)
 type survivors = {
   sv_bits : Bitset.t;
   mutable sv_count : int;  (** -1 until first computed *)
-  mutable sv_list : (string * Ds_reuse.Core.t) list option;
 }
 
 type survivor_set =
@@ -178,17 +177,12 @@ val find_survivor_set : t -> key:string -> survivor_set option
 val store_survivor_list : t -> key:string -> (string * Ds_reuse.Core.t) list -> unit
 
 val store_survivor_bits : t -> key:string -> Bitset.t -> survivors
-(** Wraps [bits] (over the dense-id universe) with unevaluated memos
-    and caches it; returns the wrapper so the storing query can reuse
-    the memos it fills. *)
+(** Wraps [bits] (over the dense-id universe) with an unevaluated count
+    memo and caches it; returns the wrapper so the storing query can
+    reuse the memo it fills. *)
 
 val survivor_count : survivors -> int
 (** Popcount, memoized (idempotent under racing writers). *)
-
-val survivor_list : survivors -> entry_at:(int -> string * Ds_reuse.Core.t) -> (string * Ds_reuse.Core.t) list
-(** Materialization in ascending dense-id order — exactly the index's
-    insertion order, so it is byte-for-byte the list a classic sweep
-    caches.  Memoized on first call. *)
 
 val find_summary : t -> key:string -> Evaluation.merit_summary option
 (** The cached merit summary for a (state signature, merit) key —

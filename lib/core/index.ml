@@ -131,10 +131,9 @@ let build hierarchy cores =
      like the index itself.  Dense ids are the insertion-order [seq]
      numbers, so [all], every [subtree] and every bitset materialize in
      the same order. *)
-  let qids = Array.of_list (List.map fst all) in
-  let cores_arr = Array.of_list (List.map snd all) in
+  let entries = Array.of_list all in
   let n = !seq in
-  assert (Array.length qids = n);
+  assert (Array.length entries = n);
   {
     root = Some root;
     root_name;
@@ -142,7 +141,7 @@ let build hierarchy cores =
     all;
     paths;
     all_ids = Array.init n Fun.id;
-    store = Columnar.build ~qids ~cores:cores_arr;
+    store = Columnar.build entries;
   }
 
 let path_of t ~qualified_id = Hashtbl.find_opt t.paths qualified_id
@@ -182,7 +181,7 @@ let unindexed t = t.orphans
 
 let size t = Array.length t.all_ids
 let columnar t = t.store
-let entry_at t i = (Columnar.qid t.store i, Columnar.core t.store i)
+let entry_at t i = Columnar.entry t.store i
 
 let under_ids t path =
   if path = [] then t.all_ids

@@ -50,7 +50,9 @@ val under_ids : t -> string list -> int array
     for the root node this is the full [0, size) range. *)
 
 val entry_at : t -> int -> string * Ds_reuse.Core.t
-(** The (qualified id, core) entry of a dense id. *)
+(** The (qualified id, core) entry of a dense id — the same physical
+    pair [under] lists, so materializing a survivor set allocates only
+    the list cells. *)
 
 val columnar : t -> Columnar.t
 (** The flat per-property/per-merit columns over the indexed entries,

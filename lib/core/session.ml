@@ -1017,7 +1017,13 @@ let candidates t =
   else
     match survivor_set t with
     | Compliance.S_list survivors -> survivors
-    | Compliance.S_bits sv -> Compliance.survivor_list sv ~entry_at:(Index.entry_at t.index)
+    | Compliance.S_bits sv ->
+      (* ascending dense ids are index insertion order.  Built afresh
+         per call and never cached: a cached list would pin one cons
+         per survivor for as long as the state stays in the table, and
+         every read the service serves (count, id page, signature,
+         ranges) works off the bitset instead *)
+      Bitset.map_true (Index.entry_at t.index) sv.Compliance.sv_bits
 
 let cache_stats t = Compliance.stats t.cache
 let population t = Index.all t.index
@@ -1031,7 +1037,23 @@ let candidate_count t =
     | Compliance.S_list survivors -> List.length survivors
     | Compliance.S_bits sv -> Compliance.survivor_count sv
 
-(* Memoized like the survivor list itself (and on the same key): a
+(* The count by popcount and the first [max] ids by an early-exit walk:
+   a page of a large bitset set never builds the candidate list. *)
+let candidate_page t ~max =
+  let take = match max with Some m when m >= 0 -> m | Some _ | None -> Stdlib.max_int in
+  let of_list survivors =
+    (List.length survivors, List.filteri (fun i _ -> i < take) survivors |> List.map fst)
+  in
+  if not t.use_cache then of_list (candidates_naive t)
+  else
+    match survivor_set t with
+    | Compliance.S_list survivors -> of_list survivors
+    | Compliance.S_bits sv ->
+      let store = Index.columnar t.index in
+      ( Compliance.survivor_count sv,
+        List.map (Columnar.qid store) (Bitset.take_true sv.Compliance.sv_bits take) )
+
+(* Memoized like the survivor set itself (and on the same key): a
    revisited state serves its ranges without re-folding the pool. *)
 let merit_summary t ~merit =
   if not t.use_cache then Evaluation.merit_summary (candidates t) ~merit
@@ -1312,31 +1334,25 @@ let candidate_signature t =
          Buffer.add_char buf '|';
          Buffer.add_string buf entry);
   let prefix = Buffer.contents buf in
+  let digest_list survivors =
+    List.iter
+      (fun (qid, _) ->
+        Buffer.add_char buf '#';
+        Buffer.add_string buf qid)
+      survivors;
+    Digest.string (Buffer.contents buf)
+  in
   let compute () =
-    (* ascending dense ids are index insertion order, so the bitset
-       walk appends exactly the bytes the candidate-list walk would *)
-    (if not t.use_cache then
-       List.iter
-         (fun (qid, _) ->
-           Buffer.add_char buf '#';
-           Buffer.add_string buf qid)
-         (candidates t)
-     else
-       match survivor_set t with
-       | Compliance.S_list survivors ->
-         List.iter
-           (fun (qid, _) ->
-             Buffer.add_char buf '#';
-             Buffer.add_string buf qid)
-           survivors
-       | Compliance.S_bits sv ->
-         let store = Index.columnar t.index in
-         Bitset.iter_true
-           (fun i ->
-             Buffer.add_char buf '#';
-             Buffer.add_string buf (Columnar.qid store i))
-           sv.Compliance.sv_bits);
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    Digest.to_hex
+      (if not t.use_cache then digest_list (candidates t)
+       else
+         match survivor_set t with
+         | Compliance.S_list survivors -> digest_list survivors
+         | Compliance.S_bits sv ->
+           (* ascending dense ids are index insertion order, so the
+              id image's runs are exactly the bytes the list walk
+              appends *)
+           Columnar.digest_ids (Index.columnar t.index) ~prefix sv.Compliance.sv_bits)
   in
   if not t.use_cache then compute ()
   else begin

@@ -175,6 +175,15 @@ val candidates_naive : t -> (string * Ds_reuse.Core.t) list
 
 val candidate_count : t -> int
 
+val candidate_page : t -> max:int option -> int * string list
+(** [(count, ids)]: the number of {!candidates} and the qualified ids
+    of the first [max] of them, in {!candidates} order ([None] or a
+    negative [max] pages everything).  Equal to
+    [List.length (candidates t)] and the first [max] ids of
+    [candidates t], but a cached columnar session answers the count by
+    popcount and the page by a walk that stops after [max] survivors,
+    so a short page of a large set never builds the candidate list. *)
+
 val cache_stats : t -> Compliance.stats
 (** Hit/miss counters of the lineage's compliance cache (all zero when
     [use_cache] is false and nothing was ever cached). *)

@@ -70,12 +70,9 @@ let hierarchy spec =
   let children = List.map (fun opt -> (opt, Cdo.leaf_exn ~name:opt [])) options in
   Hierarchy.create_exn (Cdo.node_exn ~name:"Gen" (budgets @ plain) ~issue ~children)
 
-(* The elimination predicate both evaluation paths share: a weighted sum
-   of [fanin] merit readings against the entered budget.  [get] is the
-   only thing that differs between the per-core closure (assoc lookup on
-   the core) and the columnar kernel (flat array read) — the
-   floating-point accumulation is this exact loop either way, so
-   verdicts and signatures stay bit-identical across sweep modes. *)
+(* The elimination predicate of the per-core closure: a weighted sum of
+   [fanin] merit readings against the entered budget; a core missing
+   any of the merits is kept. *)
 let decide ~fanin ~weights ~bound ~get =
   let acc = ref 0.0 in
   let missing = ref false in
@@ -85,6 +82,30 @@ let decide ~fanin ~weights ~bound ~get =
     | None -> missing := true
   done;
   (not !missing) && !acc > bound
+
+(* The same predicate over flat merit columns, resolved once per kernel.
+   It performs [decide]'s float operations in [decide]'s order (start at
+   0.0, add [weights.(f) *. v] for f ascending), so verdicts and
+   signatures stay bit-identical to the closure; stopping at the first
+   missing merit only skips terms whose sum [decide] then ignores.  The
+   per-core call allocates nothing: the accumulator is an unboxed local
+   and no option or closure is built per read. *)
+let kernel ~fanin ~weights ~bound cols =
+  if Array.exists Option.is_none cols then fun _ -> false
+  else begin
+    let values = Array.map (fun c -> fst (Option.get c)) cols in
+    let present = Array.map (fun c -> snd (Option.get c)) cols in
+    fun id ->
+      let acc = ref 0.0 in
+      let f = ref 0 in
+      while !f < fanin && Bitset.mem (Array.unsafe_get present !f) id do
+        acc :=
+          !acc
+          +. (Array.unsafe_get weights !f *. Array.unsafe_get (Array.unsafe_get values !f) id);
+        incr f
+      done;
+      !f = fanin && !acc > bound
+  end
 
 let constraints spec =
   validate spec;
@@ -105,15 +126,9 @@ let constraints spec =
            ~vectorized:(fun env store ->
              match env.Consistency.value_of budget with
              | Some (Value.Real bound) ->
-               let cols = Array.map (fun m -> Columnar.merit_column store m) cc_merits in
                Some
-                 (fun id ->
-                   decide ~fanin:spec.fanin ~weights ~bound ~get:(fun f ->
-                       match Array.unsafe_get cols f with
-                       | Some (values, present) ->
-                         if Bitset.mem present id then Some (Array.unsafe_get values id)
-                         else None
-                       | None -> None))
+                 (kernel ~fanin:spec.fanin ~weights ~bound
+                    (Array.map (Columnar.merit_column store) cc_merits))
              | Some _ | None -> Some (fun _ -> false))
            (fun env core ->
              match env.Consistency.value_of budget with

@@ -115,9 +115,11 @@ let rec write_all fd buf pos len =
 
 (* A descriptor opened by this module is always O_APPEND, so after a
    repair-truncate the next write lands exactly at [off] — no lseek
-   bookkeeping, no holes. *)
+   bookkeeping, no holes.  It is also close-on-exec: a service that
+   spawns a child process must not hand it one journal descriptor per
+   resident session. *)
 let openfile_append ?(trunc = false) file =
-  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] in
+  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ] in
   Unix.openfile file (if trunc then Unix.O_TRUNC :: flags else flags) 0o644
 
 (* Write one line + newline, under the journal lock.  Durability
@@ -391,7 +393,7 @@ let snapshot_header_json s ~checksum =
    roll the directory back to a state that never coexisted with the
    file contents. *)
 let fsync_dir dir =
-  let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  let dfd = Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close dfd with _ -> ())
     (fun () -> try Iofault.fsync dfd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())

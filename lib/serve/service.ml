@@ -945,21 +945,16 @@ let response_attrs = function
 let read_reply t sid s (req : P.request) =
   match req with
   | P.Candidates { max; _ } ->
-    let cands = Session.candidates s in
-    let count = List.length cands in
     (* [max] bounds the id page, never the count: a fleet-scale
        poll asks "how many survive?" thousands of times a second,
-       and shipping every id would make the reply O(survivors) *)
-    let page =
-      match max with
-      | Some m when m >= 0 && m < count -> List.filteri (fun i _ -> i < m) cands
-      | _ -> cands
-    in
+       and shipping (or even listing) every id would make the reply
+       O(survivors) *)
+    let count, page = Session.candidate_page s ~max in
     P.Reply
       [
         ("session", Jsonx.Str sid);
         ("count", Jsonx.Int count);
-        ("candidates", Jsonx.List (List.map (fun (qid, _) -> Jsonx.Str qid) page));
+        ("candidates", Jsonx.List (List.map (fun qid -> Jsonx.Str qid) page));
       ]
   | P.Ranges { merits; _ } ->
     let merits = merits_or_default t merits in

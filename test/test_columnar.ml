@@ -100,7 +100,33 @@ let test_bitset_oracle () =
       Alcotest.(check int)
         (Printf.sprintf "fold_true/%d" length)
         count_oracle
-        (Bitset.fold_true (fun acc _ -> acc + 1) 0 t))
+        (Bitset.fold_true (fun acc _ -> acc + 1) 0 t);
+      Alcotest.(check (list int))
+        (Printf.sprintf "map_true/%d" length)
+        (List.map (fun i -> 3 * i) oracle_ids)
+        (Bitset.map_true (fun i -> 3 * i) t);
+      List.iter
+        (fun k ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "take_true %d/%d" k length)
+            (List.filteri (fun i _ -> i < k) oracle_ids)
+            (Bitset.take_true t k))
+        [ 0; 1; 5; count_oracle; count_oracle + 1 ];
+      (* iter_runs: maximal, ascending, and covering exactly the set bits *)
+      let runs = ref [] in
+      Bitset.iter_runs (fun lo hi -> runs := (lo, hi) :: !runs) t;
+      let runs = List.rev !runs in
+      Alcotest.(check (list int))
+        (Printf.sprintf "iter_runs cover/%d" length)
+        oracle_ids
+        (List.concat_map (fun (lo, hi) -> List.init (hi - lo) (fun j -> lo + j)) runs);
+      List.iter
+        (fun (lo, hi) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "run [%d,%d) maximal/%d" lo hi length)
+            true
+            (lo < hi && (lo = 0 || not oracle.(lo - 1)) && (hi = length || not oracle.(hi))))
+        runs)
     [ 1; 31; 32; 33; 37; 64; 100; 129 ]
 
 let test_bitset_structure () =
@@ -118,7 +144,18 @@ let test_bitset_structure () =
   Alcotest.(check bool) "copy equal" true (Bitset.equal t c);
   Bitset.clear c 31;
   Alcotest.(check bool) "copy independent" true (Bitset.mem t 31 && not (Bitset.mem c 31));
-  Alcotest.(check bool) "copy unequal after edit" false (Bitset.equal t c)
+  Alcotest.(check bool) "copy unequal after edit" false (Bitset.equal t c);
+  (* runs over whole words stay open across the word boundary *)
+  let runs t =
+    let acc = ref [] in
+    Bitset.iter_runs (fun lo hi -> acc := (lo, hi) :: !acc) t;
+    List.rev !acc
+  in
+  let pair = Alcotest.(list (pair int int)) in
+  Alcotest.check pair "full runs" [ (0, 37) ] (runs full);
+  Alcotest.check pair "full aligned" [ (0, 96) ] (runs (Bitset.create_full 96));
+  Alcotest.check pair "empty runs" [] (runs empty);
+  Alcotest.check pair "of_ids runs" [ (0, 1); (31, 33); (69, 70) ] (runs t)
 
 (* ------------------------------------------------------------------ *)
 (* Packed verdict slots                                                *)
@@ -340,10 +377,7 @@ let sample_cores =
            Core.make_exn ~id ~name:id ~provider:"t" ~kind:Core.Soft_core ~properties ~merits
              () ))
 
-let sample_store () =
-  let qids = Array.of_list (List.map fst sample_cores) in
-  let cores = Array.of_list (List.map snd sample_cores) in
-  Columnar.build ~qids ~cores
+let sample_store () = Columnar.build (Array.of_list sample_cores)
 
 let test_columnar_accessors () =
   let store = sample_store () in

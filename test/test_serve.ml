@@ -1443,6 +1443,106 @@ let test_candidates_max_page () =
   Alcotest.(check int) "oversized max ships everything" full (ids pbig);
   Alcotest.(check int) "no max ships everything" full (ids (page None))
 
+(* The candidates reply rendered exactly as the service rendered it when
+   it materialized [Session.candidates] and filtered the page from the
+   list; the paged read must reproduce it byte for byte, for every kind
+   of [max] (absent, zero, short, exact, oversized, negative). *)
+let list_rendering ~sid s max =
+  let cands = Session.candidates s in
+  let count = List.length cands in
+  let page =
+    match max with
+    | Some m when m >= 0 && m < count -> List.filteri (fun i _ -> i < m) cands
+    | _ -> cands
+  in
+  P.print_response
+    (P.Reply
+       [
+         ("session", J.Str sid);
+         ("count", J.Int count);
+         ("candidates", J.List (List.map (fun (qid, _) -> J.Str qid) page));
+       ])
+
+let test_candidates_reply_rendering () =
+  let svc = service () in
+  List.iter
+    (fun (layer, bindings) ->
+      let sid = "render-" ^ layer in
+      ignore (reply (Service.handle svc (open_req ~session:sid ~layer ())));
+      let oracle = ref ((List.assoc layer Ds_domains.Catalog.factories) ~eol:768) in
+      let check_state label =
+        let count = Session.candidate_count !oracle in
+        List.iter
+          (fun max ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s max=%s" layer label
+                 (match max with Some m -> string_of_int m | None -> "none"))
+              (list_rendering ~sid !oracle max)
+              (P.print_response (Service.handle svc (P.Candidates { session = sid; max }))))
+          [ None; Some 0; Some 1; Some 16; Some count; Some (count + 1); Some (-1) ]
+      in
+      check_state "fresh";
+      List.iter
+        (fun (name, value) ->
+          ignore
+            (reply
+               (Service.handle svc (P.Set { session = sid; name; value; decide = false })));
+          oracle := ok (Session.set !oracle name value);
+          check_state name)
+        bindings)
+    [
+      ( "idct",
+        [
+          ("Word Size", Value.int 16);
+          ("Precision", Value.int 12);
+          (Ds_domains.Idct_layer.technology_issue, Value.str "0.35u");
+        ] );
+      ("synthetic", [ (issue, pick) ]);
+    ]
+
+(* Journal descriptors are close-on-exec: a service that spawns a child
+   must not leak one descriptor per resident session into it.  The fd
+   is found through /proc, by the file it points at. *)
+let test_journal_cloexec () =
+  if Sys.file_exists "/proc/self/fdinfo" then begin
+    let dir = tmpdir "dse_cloexec" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let header = { Journal.session = "cx"; layer = "synthetic"; eol = 768; base = 0 } in
+    let file = Journal.path ~dir ~id:"cx" in
+    let check label =
+      let target = Unix.realpath file in
+      let fds =
+        Sys.readdir "/proc/self/fd" |> Array.to_list
+        |> List.filter (fun fd ->
+               match Unix.readlink (Filename.concat "/proc/self/fd" fd) with
+               | link -> String.equal link target
+               | exception Unix.Unix_error _ -> false)
+      in
+      Alcotest.(check bool) (label ^ ": journal fd found") true (fds <> []);
+      List.iter
+        (fun fd ->
+          let flags =
+            In_channel.with_open_text (Filename.concat "/proc/self/fdinfo" fd) In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.find_map (fun line ->
+                   match String.split_on_char ':' line with
+                   | [ "flags"; v ] -> int_of_string_opt ("0o" ^ String.trim v)
+                   | _ -> None)
+          in
+          match flags with
+          | Some f ->
+            Alcotest.(check bool) (label ^ ": O_CLOEXEC set") true (f land 0o2000000 <> 0)
+          | None -> Alcotest.failf "%s: no flags line for fd %s" label fd)
+        fds
+    in
+    let j = ok (Journal.create ~dir header) in
+    check "create";
+    Journal.close j;
+    let j = ok (Journal.open_append ~dir ~id:"cx" ()) in
+    check "open_append";
+    Journal.close j
+  end
+
 let test_idle_reap () =
   (* a silent client is reaped after [idle_timeout] and the reap is
      counted — leaked clients cannot pin pool threads forever *)
@@ -1896,6 +1996,7 @@ let () =
           Alcotest.test_case "branch journals independently" `Quick
             test_branch_journals_independently;
           Alcotest.test_case "resume guards" `Quick test_resume_guards;
+          Alcotest.test_case "descriptors are close-on-exec" `Quick test_journal_cloexec;
         ] );
       ( "socket",
         [
@@ -1940,6 +2041,8 @@ let () =
             test_healthz_and_retryable_codes;
           Alcotest.test_case "candidates max pages ids, not count" `Quick
             test_candidates_max_page;
+          Alcotest.test_case "candidates reply byte-equal to the list rendering" `Quick
+            test_candidates_reply_rendering;
           Alcotest.test_case "idle connections reaped and counted" `Quick test_idle_reap;
           Alcotest.test_case "durable client reconnects across restart" `Quick
             test_durable_reconnect_across_restart;
