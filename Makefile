@@ -99,7 +99,7 @@ bench-compare:
 
 # Columnar-sweep bench over generated 10^5- and 10^6-core layers
 # (writes BENCH_PR7.json: build/cold-sweep/warm-requery times, GC
-# deltas, columnar-vs-classic speedup, serve throughput leg).
+# deltas, columnar-vs-naive speedup, serve throughput leg).
 # DSE_BENCH_REPS overrides the per-phase repetition counts.
 bench-sweep:
 	dune exec bench/main.exe -- sweep --json

@@ -20,7 +20,7 @@
      dune exec bench/main.exe sweep --json [--smoke]
                                          -- columnar Eliminate sweep on
                                             generated 10^5/10^6-core
-                                            layers, columnar vs classic
+                                            layers, columnar vs naive
                                             -> BENCH_PR7.json
      dune exec bench/main.exe fleet --json [--smoke]
                                          -- sharded fleet: router + 4
@@ -1556,9 +1556,10 @@ let obs_json ?(smoke = false) () =
 
 (* Measures the columnar Eliminate sweep on generated large-population
    layers (10^5 and 10^6 cores): layer build cost, the cold
-   sweep-everything query under both engines — the columnar default and
-   the retained classic per-core-closure path, same run, same machine —
-   the warm requery step, and allocator pressure per phase.  A
+   sweep-everything query against the uncached naive recompute
+   ([Session.candidates_naive], per-core closures over a candidate list —
+   the equivalence oracle, same run, same machine), the warm requery
+   step, and allocator pressure per phase.  A
    PR4-shaped serve round rides along so scripts/bench_compare.sh can
    gate end-to-end serve throughput against the pinned BENCH_PR4
    figures. *)
@@ -1615,24 +1616,26 @@ let sweep_json ?(smoke = false) () =
           with_gc (fun () -> wall_ms (fun () -> master := Some (Gen.session spec)))
         in
         let master = Option.get !master in
-        let classic_master = Gen.session ~sweep_mode:Session.Classic spec in
+        let naive_master = Gen.session ~use_cache:false spec in
         (* cold sweep: fresh lineage (own compliance cache) per rep, so
            every rep pays the full sweep over all [ccs] constraints *)
-        let cold mst =
+        let cold mst count =
           let survivors = ref 0 in
           let ms, gc =
             with_gc (fun () ->
                 wall_ms (fun () ->
                     for _ = 1 to reps do
                       let s = gen_bind_budgets spec (Session.pristine mst) in
-                      survivors := Session.candidate_count s
+                      survivors := count s
                     done))
           in
           (ms /. float_of_int reps, gc, !survivors)
         in
-        let columnar_ms, columnar_gc, survivors = cold master in
-        let classic_ms, classic_gc, classic_survivors = cold classic_master in
-        let speedup = if columnar_ms > 0.0 then classic_ms /. columnar_ms else 0.0 in
+        let columnar_ms, columnar_gc, survivors = cold master Session.candidate_count in
+        let naive_ms, naive_gc, naive_survivors =
+          cold naive_master (fun s -> List.length (Session.candidates_naive s))
+        in
+        let speedup = if columnar_ms > 0.0 then naive_ms /. columnar_ms else 0.0 in
         (* warm requery: revise one budget, re-read count and a range —
            only the revised constraint re-sweeps *)
         let warm = gen_bind_budgets spec (Session.pristine master) in
@@ -1653,32 +1656,30 @@ let sweep_json ?(smoke = false) () =
                   done))
         in
         let warm_ms = warm_ms /. float_of_int reps in
-        (* differential: columnar, classic and uncached-naive candidate
-           ids must be identical (checked at the gate size; the
-           equivalence suite covers more seeds and shapes) *)
+        (* differential: columnar and uncached-naive candidate ids must
+           be identical (checked at the gate size; the equivalence suite
+           covers more seeds and shapes) *)
         let equivalent =
           if n > 100_000 then None
           else begin
-            let ids s = List.map fst (Session.candidates s) in
             let col = gen_bind_budgets spec (Session.pristine master) in
-            let cls = gen_bind_budgets spec (Session.pristine classic_master) in
-            let naive = gen_bind_budgets spec (Gen.session ~use_cache:false spec) in
-            let ci = ids col in
-            let ni = List.map fst (Session.candidates_naive naive) in
-            Some (ci = ids cls && ci = ni)
+            let naive = gen_bind_budgets spec (Session.pristine naive_master) in
+            Some
+              (List.map fst (Session.candidates col)
+              = List.map fst (Session.candidates_naive naive))
           end
         in
         printf
-          "%8d cores | build %8.0f ms | cold sweep columnar %8.2f ms  classic %8.2f ms  speedup %6.2fx | warm %6.3f ms | survivors %d%s\n"
-          n build_ms columnar_ms classic_ms speedup warm_ms survivors
+          "%8d cores | build %8.0f ms | cold sweep columnar %8.2f ms  naive %8.2f ms  speedup %6.2fx | warm %6.3f ms | survivors %d%s\n"
+          n build_ms columnar_ms naive_ms speedup warm_ms survivors
           (match equivalent with
-          | Some true | None -> if classic_survivors = survivors then "" else "  [MISMATCH]"
+          | Some true | None -> if naive_survivors = survivors then "" else "  [MISMATCH]"
           | Some false -> "  [MISMATCH]");
         ( n,
           reps,
           (build_ms, build_gc),
           (columnar_ms, columnar_gc),
-          (classic_ms, classic_gc, speedup),
+          (naive_ms, naive_gc, speedup),
           (warm_ms, warm_gc),
           survivors,
           equivalent ))
@@ -1702,7 +1703,7 @@ let sweep_json ?(smoke = false) () =
            reps,
            (build_ms, build_gc),
            (columnar_ms, columnar_gc),
-           (classic_ms, classic_gc, speedup),
+           (naive_ms, naive_gc, speedup),
            (warm_ms, warm_gc),
            survivors,
            equivalent ) ->
@@ -1715,10 +1716,10 @@ let sweep_json ?(smoke = false) () =
       | None -> add "      \"equivalent_to_naive\": null,\n");
       add "      \"build\": { \"ms\": %.1f, \"gc\": %s },\n" build_ms (gc_json build_gc);
       add "      \"cold_sweep\": {\n";
-      add "        \"columnar_ms\": %.3f, \"classic_ms\": %.3f, \"speedup\": %.2f,\n"
-        columnar_ms classic_ms speedup;
+      add "        \"columnar_ms\": %.3f, \"naive_ms\": %.3f, \"speedup\": %.2f,\n"
+        columnar_ms naive_ms speedup;
       add "        \"columnar_gc\": %s,\n" (gc_json columnar_gc);
-      add "        \"classic_gc\": %s\n" (gc_json classic_gc);
+      add "        \"naive_gc\": %s\n" (gc_json naive_gc);
       add "      },\n";
       add "      \"warm_requery\": { \"ms\": %.4f, \"gc\": %s }\n" warm_ms (gc_json warm_gc);
       add "    }%s\n" (if i < List.length rows - 1 then "," else ""))
@@ -1745,7 +1746,7 @@ let sweep_json ?(smoke = false) () =
   add "}\n";
   write_bench "BENCH_PR7" buf;
   printf
-    "\nwrote BENCH_PR7.json (cold sweep %.1f ms over %d cores; columnar %.2fx classic at 10^5)\n"
+    "\nwrote BENCH_PR7.json (cold sweep %.1f ms over %d cores; columnar %.2fx naive at 10^5)\n"
     largest_ms largest speedup_at_gate
 
 (* ------------------------------------------------------------------ *)

@@ -995,32 +995,17 @@ type metrics_sample = {
   ms_sessions : int;
   ms_counters : (string * int) list;
   ms_gauges : (string * float) list;
-  ms_hists : (string * (int * float * int array)) list;  (* count, max, buckets *)
+  ms_hists : (string * Obs.hsnapshot) list;
   ms_slow : string list;  (* slow-request log lines (JSON span trees) *)
 }
 
 let parse_metrics payload =
-  let reg_objects =
+  (* a registry that does not decode is left out of the screen *)
+  let views =
     match List.assoc_opt "registries" payload with
-    | Some (SJ.Obj regs) -> List.map snd regs
+    | Some (SJ.Obj regs) ->
+      List.filter_map (fun (_, reg) -> Result.to_option (SP.registry_of_json reg)) regs
     | _ -> []
-  in
-  let fold_members key json_of =
-    List.concat_map
-      (fun reg ->
-        match SJ.member key reg with
-        | Some (SJ.Obj fields) ->
-          List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (json_of v)) fields
-        | _ -> [])
-      reg_objects
-  in
-  let hist_of v =
-    match (SJ.member "count" v, SJ.member "max" v, SJ.member "buckets" v) with
-    | Some c, Some m, Some (SJ.List bs) ->
-      let buckets = Array.of_list (List.filter_map SJ.to_int bs) in
-      Option.bind (SJ.to_int c) (fun c ->
-          Option.map (fun m -> (c, m, buckets)) (SJ.to_float m))
-    | _ -> None
   in
   {
     ms_uptime =
@@ -1028,9 +1013,9 @@ let parse_metrics payload =
         (Option.bind (List.assoc_opt "uptime_s" payload) SJ.to_float);
     ms_sessions =
       Option.value ~default:0 (Option.bind (List.assoc_opt "sessions" payload) SJ.to_int);
-    ms_counters = fold_members "counters" SJ.to_int;
-    ms_gauges = fold_members "gauges" SJ.to_float;
-    ms_hists = fold_members "histograms" hist_of;
+    ms_counters = List.concat_map (fun v -> v.SP.counters) views;
+    ms_gauges = List.concat_map (fun v -> v.SP.gauges) views;
+    ms_hists = List.concat_map (fun v -> v.SP.histograms) views;
     ms_slow =
       (match List.assoc_opt "slow" payload with
       | Some (SJ.List l) -> List.filter_map SJ.to_str l
@@ -1044,13 +1029,13 @@ let parse_metrics payload =
    ({!Obs.window_delta}): a worker restarted in place resets its
    cumulative counters, and a reset must read as "no traffic this
    window", never as a negative rate. *)
-let windowed_hist ?prev (count, max_us, buckets) =
+let windowed_hist ?prev (h : Obs.hsnapshot) =
   let pcount, pbuckets =
-    match prev with Some (c, _, b) -> (c, b) | None -> (0, [||])
+    match prev with Some (p : Obs.hsnapshot) -> (p.h_count, p.h_counts) | None -> (0, [||])
   in
-  let counts = Obs.window_counts ~prev:pbuckets ~cur:buckets in
-  let n = Obs.window_delta ~prev:pcount ~cur:count in
-  (n, fun p -> Obs.quantile_of ~counts ~count:n ~max:max_us p)
+  let counts = Obs.window_counts ~prev:pbuckets ~cur:h.h_counts in
+  let n = Obs.window_delta ~prev:pcount ~cur:h.h_count in
+  (n, fun p -> Obs.quantile_of ~counts ~count:n ~max:h.h_max p)
 
 let print_metrics_screen ~elapsed ~sample:s ~prev =
   let window_label =
@@ -1067,9 +1052,8 @@ let print_metrics_screen ~elapsed ~sample:s ~prev =
     (fun (name, h) ->
       let n, q = windowed_hist ?prev:(List.assoc_opt name prev_hists) h in
       if n > 0 then
-        let _, max_us, _ = h in
         printf "  %-34s %9d %9.0f %9.0f %9.0f %9.0f\n" name n (q 0.5) (q 0.9) (q 0.99)
-          max_us)
+          h.Obs.h_max)
     s.ms_hists;
   printf "  %-34s %11s\n" "counters" "rate/s";
   List.iter
@@ -1131,18 +1115,10 @@ let print_shard_lines ~elapsed ~shards ~prev_shards =
             | Some (Ok (p : metrics_sample)) -> p.ms_hists
             | _ -> []
           in
-          let merge (ca, ma, ba) (cb, mb, bb) =
-            let n = Stdlib.max (Array.length ba) (Array.length bb) in
-            ( ca + cb,
-              Float.max ma mb,
-              Array.init n (fun i ->
-                  (if i < Array.length ba then ba.(i) else 0)
-                  + if i < Array.length bb then bb.(i) else 0) )
-          in
           let total hists =
             List.fold_left
               (fun acc (_, h) ->
-                match acc with None -> Some h | Some a -> Some (merge a h))
+                match acc with None -> Some h | Some a -> Some (Obs.merge_hsnapshots a h))
               None hists
           in
           let merged = total request_hists in
@@ -1154,7 +1130,9 @@ let print_shard_lines ~elapsed ~shards ~prev_shards =
           | None -> printf "  %-10s %9d %9s\n" name s.ms_sessions "-"
           | Some h ->
             let n, q = windowed_hist ?prev:prev_merged h in
-            let _, max_us, _ = h in
+            (* a shard that never served a request shows 0, as on the
+               wire, not the empty snapshot's neg_infinity *)
+            let max_us = if h.Obs.h_count > 0 then h.Obs.h_max else 0.0 in
             let dt = if elapsed > 0.0 then elapsed else 1.0 in
             printf "  %-10s %9d %9.1f %9.0f %9.0f %9.0f\n" name s.ms_sessions
               (float_of_int n /. dt) (q 0.5) (q 0.99) max_us))

@@ -9,7 +9,7 @@
    id.  The hot path of a warm query is one array read per (constraint,
    32-core word): {!Slot.peek_word} unpacks a whole word into
    known/inferior masks that combine with the sweep's keep bitset
-   branchlessly.  The classic (per-core closure) path still reads one
+   branchlessly.  Scattered pools and the recording fallback read one
    verdict at a time through {!Slot.peek}.
 
    Concurrency: one table serves a session lineage, and since the
@@ -17,7 +17,7 @@
    domains can query (and thus populate) the same lineage at once.  All
    table mutation happens under [lock].  The per-core sweep itself runs
    lockless against a {!Slot.view}: [slot] pre-grows the word array to
-   cover every core id while holding the lock, so the buffer a query
+   cover the whole dense-id universe while holding the lock, so the buffer a query
    reads is never reallocated under it, and new verdicts are buffered
    by the sweep and written back in one {!Slot.merge} /
    {!Slot.merge_bits} — which re-checks the stamp, so a sweep that
@@ -61,14 +61,10 @@ type survivors = {
   mutable sv_count : int; (* memoized popcount; -1 until first asked *)
 }
 
-type survivor_set =
-  | S_list of (string * Ds_reuse.Core.t) list (* classic sweep *)
-  | S_bits of survivors (* columnar sweep *)
-
 type t = {
   lock : Mutex.t;
   slots : (string, slot) Hashtbl.t; (* constraint name -> verdicts *)
-  survivors : survivor_set Clock_cache.t;
+  survivors : survivors Clock_cache.t;
       (* full state signature -> surviving candidates *)
   gens : int Clock_cache.t;
       (* constraint-state key (constraint name + the values of every
@@ -87,8 +83,6 @@ type t = {
          spares a revisited state that whole-pool walk.  The stored
          value is exactly what the full computation produced, so
          journal signatures stay bit-identical. *)
-  ids : (string, int) Hashtbl.t; (* core qualified-id -> dense id *)
-  mutable next_id : int;
   mutable next_gen : int;
   mutable verdict_hits : int;
   mutable verdict_misses : int;
@@ -129,8 +123,6 @@ let create () =
       Clock_cache.create ~capacity:max_survivor_entries
         ~on_evict:(fun () -> Obs.incr m_signature_evictions)
         ();
-    ids = Hashtbl.create 256;
-    next_id = 0;
     next_gen = 0;
     verdict_hits = 0;
     verdict_misses = 0;
@@ -161,19 +153,6 @@ let generation_for t ~key =
         t.next_gen <- t.next_gen + 1;
         Clock_cache.store t.gens key t.next_gen;
         t.next_gen)
-
-let intern t qid =
-  match Hashtbl.find_opt t.ids qid with
-  | Some id -> id
-  | None ->
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    Hashtbl.add t.ids qid id;
-    id
-
-let core_id t qid = locked t (fun () -> intern t qid)
-
-let core_ids t qids = locked t (fun () -> Array.map (intern t) qids)
 
 module Slot = struct
   type nonrec t = {
@@ -282,9 +261,9 @@ end
 
 let words_for n = (n + Slot.codes_per_word - 1) / Slot.codes_per_word
 
-let slot ?(universe = 0) t ~cc ~gen ~focus =
+let slot ~universe t ~cc ~gen ~focus =
   locked t (fun () ->
-      let need = words_for (Stdlib.max t.next_id universe) in
+      let need = words_for universe in
       let s =
         match Hashtbl.find_opt t.slots cc with
         | Some s ->
@@ -326,12 +305,9 @@ let find_survivor_set t ~key =
         Obs.incr m_survivor_misses;
         None)
 
-let store_survivor_list t ~key cores =
-  locked t (fun () -> Clock_cache.store t.survivors key (S_list cores))
-
 let store_survivor_bits t ~key bits =
   let sv = { sv_bits = bits; sv_count = -1 } in
-  locked t (fun () -> Clock_cache.store t.survivors key (S_bits sv));
+  locked t (fun () -> Clock_cache.store t.survivors key sv);
   sv
 
 (* The memo write below is idempotent (deterministic value per

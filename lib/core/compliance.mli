@@ -13,13 +13,12 @@
 
     Verdicts are stored {e columnar}: two bits per core (unknown /
     inferior / kept), sixteen cores per word of a flat [int array]
-    indexed by dense core id.  A warm columnar sweep therefore reads
+    indexed by the index's dense core id.  A warm sweep therefore reads
     one word per (constraint, 32 cores) via {!Slot.peek_word} and
-    combines it with the survivor bitset branchlessly; the classic
-    per-core path reads single verdicts through {!Slot.peek}.  Survivor
-    sets are cached either as explicit lists (classic sweeps) or as
-    {!Bitset} words over the index's dense-id universe (columnar
-    sweeps) — see {!type:survivor_set}.
+    combines it with the survivor bitset branchlessly; scattered pools
+    and the fault-recording fallback read single verdicts through
+    {!Slot.peek}.  Survivor sets are cached as {!Bitset} words over the
+    dense-id universe — see {!type:survivors}.
 
     Correctness contract: a constraint closure must only read properties
     it declares in its independent or dependent set.  (This is the same
@@ -58,8 +57,8 @@
     The table is internally synchronized: since the exploration service
     stopped serializing requests globally, concurrent requests (on
     separate domains) can query the same lineage at once.  The sweep
-    protocol is snapshot-and-merge: {!core_ids} interns the whole pool
-    and {!slot} pre-grows the verdict buffer under one lock, the sweep
+    protocol is snapshot-and-merge: {!slot} pre-grows the verdict
+    buffer to the whole universe under the lock, the sweep
     itself reads a {!Slot.view} locklessly (and in parallel chunks, see
     {!Parallel}), and buffered new verdicts are written back in one
     {!Slot.merge} / {!Slot.merge_bits}, which drops them if the stamp
@@ -87,19 +86,8 @@ val generation_for : t -> key:string -> int
     memo is bounded by clock eviction; an evicted state costs one fresh
     sweep on revisit. *)
 
-val core_id : t -> string -> int
-(** Dense id interned for a core's qualified id — the index verdict
-    slots are addressed by.  Ids are stable for the lifetime of the
-    table, so a query pays one string-hash probe per core and a plain
-    array read per constraint after that.  (Columnar sessions use the
-    index's dense ids directly and never intern.) *)
-
-val core_ids : t -> string array -> int array
-(** {!core_id} for a whole candidate pool under a single lock
-    acquisition — how a classic query opens its sweep. *)
-
 (** One constraint's verdict table, resolved (and restamped) once per
-    query so the per-core cost is an array read by interned id. *)
+    query so the per-core cost is an array read by dense id. *)
 module Slot : sig
   type t
 
@@ -109,9 +97,8 @@ module Slot : sig
 
   val view : t -> int array
   (** The verdict buffer as of slot resolution.  Stable for the query:
-      {!slot} grows it to cover every id interned so far (and the
-      declared [universe]), so concurrent interning never reallocates
-      it mid-sweep.  Words written by a concurrent merge at the same
+      {!slot} grows it to cover the declared [universe], so no
+      concurrent query reallocates it mid-sweep.  Words written by a concurrent merge at the same
       stamp are identical to what this sweep would compute; a
       concurrent invalidation only resets the handle's buffer to
       unknowns (forcing recomputes, never wrong verdicts). *)
@@ -149,32 +136,25 @@ module Slot : sig
       contract as {!merge}. *)
 end
 
-val slot : ?universe:int -> t -> cc:string -> gen:int -> focus:string -> Slot.t
+val slot : universe:int -> t -> cc:string -> gen:int -> focus:string -> Slot.t
 (** The verdict table of constraint [cc] stamped (generation, focus).
     A stamp different from the stored one drops the constraint's
     previous verdicts first (latest-generation-wins: interactive
     exploration revisits the current state, not past ones).  The
-    returned view covers every id below [max interned universe] —
-    columnar sessions pass the index size as [universe]; classic
-    sessions call {!core_ids} first. *)
+    returned view covers every id below [universe] — sessions pass the
+    index size. *)
 
 (** {2 Survivor sets} *)
 
-(** A columnar survivor set: the bitset is authoritative (bit = dense
-    id survives); the count is a lazily memoized popcount. *)
+(** A survivor set: the bitset is authoritative (bit = dense id
+    survives); the count is a lazily memoized popcount. *)
 type survivors = {
   sv_bits : Bitset.t;
   mutable sv_count : int;  (** -1 until first computed *)
 }
 
-type survivor_set =
-  | S_list of (string * Ds_reuse.Core.t) list  (** classic sweeps *)
-  | S_bits of survivors  (** columnar sweeps *)
-
-val find_survivor_set : t -> key:string -> survivor_set option
+val find_survivor_set : t -> key:string -> survivors option
 (** The cached candidate set for a full session state signature. *)
-
-val store_survivor_list : t -> key:string -> (string * Ds_reuse.Core.t) list -> unit
 
 val store_survivor_bits : t -> key:string -> Bitset.t -> survivors
 (** Wraps [bits] (over the dense-id universe) with an unevaluated count

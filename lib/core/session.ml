@@ -11,15 +11,6 @@ let m_sweep_us = Obs.histogram Obs.default "dse_engine_sweep_us"
 let m_eliminated = Obs.counter Obs.default "dse_engine_eliminated_total"
 let m_derive_rounds = Obs.counter Obs.default "dse_engine_derive_rounds_total"
 
-type sweep_mode = Columnar | Classic
-
-(* Columnar is the default; DSE_SWEEP=classic flips a whole process to
-   the retained pre-columnar path (the bench's same-run reference). *)
-let default_sweep_mode () =
-  match Sys.getenv_opt "DSE_SWEEP" with
-  | Some "classic" -> Classic
-  | Some _ | None -> Columnar
-
 type source = Designer | Default_value | Derived of string
 
 type binding = {
@@ -77,17 +68,13 @@ type t = {
       (* shared like [guard]; per-branch generations keep entries
          disjoint where branches diverge *)
   use_cache : bool;
-  mode : sweep_mode;
-      (* fixed per lineage: Columnar sweeps address verdict slots by the
-         index's dense ids, Classic by the compliance table's interned
-         ids — the two id spaces must never mix in one cache *)
   gens : (string * int) list;
       (* constraint name -> verdict generation on this branch; absent =
          0.  Bumped (to a globally fresh number) when a binding of a
          property the constraint declares changes. *)
 }
 
-let create ~hierarchy ?(constraints = []) ?(use_cache = true) ?sweep_mode ~cores () =
+let create ~hierarchy ?(constraints = []) ?(use_cache = true) ~cores () =
   {
     hierarchy;
     constraints;
@@ -98,7 +85,6 @@ let create ~hierarchy ?(constraints = []) ?(use_cache = true) ?sweep_mode ~cores
     guard = Guard.registry ();
     cache = Compliance.create ();
     use_cache;
-    mode = (match sweep_mode with Some m -> m | None -> default_sweep_mode ());
     gens = [];
   }
 
@@ -120,7 +106,6 @@ let pristine t =
   }
 
 let hierarchy t = t.hierarchy
-let sweep_mode t = t.mode
 let focus t = t.focus
 
 let focus_cdo t =
@@ -436,9 +421,8 @@ let state_signature t =
 
 (* One resolved elimination constraint of a sweep: its verdict view
    (see {!Compliance.Slot}), its closure, its resolved columnar kernel
-   (columnar sweeps only; [None] on the classic path or when the
-   constraint offers none), and its quarantine flag as of the last
-   refresh. *)
+   ([None] when the constraint offers none), and its quarantine flag as
+   of the last refresh. *)
 type elim = {
   e_cc : Consistency.t;
   e_slot : Compliance.Slot.t;
@@ -450,69 +434,18 @@ type elim = {
 
 exception Sweep_fault
 
-(* The memoized sweep: chunked over the {!Parallel} pool when the pool
-   is worth it, sequential otherwise — the same code either way, so the
-   single-domain result is by construction what the chunked one
-   concatenates to.
-
-   The optimistic chunk evaluates misses without recording faults: a
-   fault aborts the whole sweep (all chunks' private verdicts are
-   discarded, nothing was stored) and the query re-runs on
-   [sweep_recording], the pre-parallel path that records faults,
-   strikes and quarantines in exact sequential encounter order.  This
-   keeps fault semantics bit-identical to the sequential path: faulted
-   evaluations were never cached, successful verdicts are
-   deterministic, so re-running them is free of side effects. *)
-let sweep_optimistic environment ids arr elims lo hi =
-  let keep = Array.make (hi - lo) true in
-  let stores = Array.make (Array.length elims) [] in
-  let elimc = Array.make (Array.length elims) 0 in
-  let hits = ref 0 and misses = ref 0 in
-  let faulted = ref false in
-  (try
-     for i = lo to hi - 1 do
-       let id = ids.(i) and core = snd arr.(i) in
-       let eliminated = ref false in
-       let j = ref 0 in
-       let n_elims = Array.length elims in
-       while (not !eliminated) && !j < n_elims do
-         let e = elims.(!j) in
-         (if not e.e_quarantined then
-            match Compliance.Slot.peek e.e_view ~id with
-            | Some verdict ->
-              incr hits;
-              if verdict then begin
-                eliminated := true;
-                elimc.(!j) <- elimc.(!j) + 1
-              end
-            | None -> (
-              incr misses;
-              match Guard.run (fun () -> e.e_inferior environment core) with
-              | Ok verdict ->
-                stores.(!j) <- (id, verdict) :: stores.(!j);
-                if verdict then begin
-                  eliminated := true;
-                  elimc.(!j) <- elimc.(!j) + 1
-                end
-              | Error _ -> raise_notrace Sweep_fault));
-         incr j
-       done;
-       keep.(i - lo) <- not !eliminated
-     done
-   with Sweep_fault -> faulted := true);
-  (lo, keep, stores, elimc, !hits, !misses, !faulted)
-
-(* The recording sweep (also the fault-fallback path of the optimistic
-   one).  Readiness is hoisted (it depends only on bindings and focus,
-   both fixed within a query).  Quarantine flags are snapshot per query
-   and refreshed whenever the guard registry records anything new —
-   quarantine can only change when a fault is recorded, so one integer
-   compare per core replaces a registry probe per (constraint, core)
-   while a constraint quarantined by a cache miss mid-query still stops
-   evaluating immediately, exactly as on the naive path.  A quarantined
-   constraint's memoized verdicts are skipped, never served.  Faulted
-   evaluations are never stored. *)
-let sweep_recording t environment ids core_at elims =
+(* The recording sweep: the fault fallback of the columnar one, over
+   the pool's dense ids in ascending order.  Readiness is hoisted (it
+   depends only on bindings and focus, both fixed within a query).
+   Quarantine flags are snapshot per query and refreshed whenever the
+   guard registry records anything new — quarantine can only change
+   when a fault is recorded, so one integer compare per core replaces a
+   registry probe per (constraint, core) while a constraint quarantined
+   by a cache miss mid-query still stops evaluating immediately,
+   exactly as on the naive path.  A quarantined constraint's memoized
+   verdicts are skipped, never served.  Faulted evaluations are never
+   stored. *)
+let sweep_recording t environment store ids elims =
   let n = Array.length ids in
   let keep = Array.make (Stdlib.max 1 n) true in
   let stores = Array.make (Array.length elims) [] in
@@ -529,7 +462,8 @@ let sweep_recording t environment ids core_at elims =
   in
   for i = 0 to n - 1 do
     refresh_quarantine ();
-    let id = ids.(i) and core = core_at i in
+    let id = ids.(i) in
+    let core = Columnar.core store id in
     let eliminated = ref false in
     Array.iteri
       (fun j e ->
@@ -556,150 +490,10 @@ let sweep_recording t environment ids core_at elims =
   done;
   (keep, stores, elimc, !hits, !misses)
 
-let candidates_memo t =
-  let fkey = focus_key t in
-  let environment = env t in
-  let bound = bound_fn t in
-  let pool = Index.under t.index t.focus in
-  let pool =
-    (* every binding is checked by [issue_filter], but an all-requirement
-       binding set (common while entering the spec) filters nothing *)
-    if List.exists (fun b -> Property.is_design_issue b.prop) t.bindings then
-      List.filter (issue_filter t) pool
-    else pool
-  in
-  let elim_ccs =
-    List.filter_map
-      (fun cc ->
-        match cc.Consistency.relation with
-        | Consistency.Eliminate { inferior; _ } when Consistency.ready cc ~bound ->
-          Some (cc, inferior)
-        | Consistency.Eliminate _ | Consistency.Inconsistent _ | Consistency.Derive _
-        | Consistency.Estimator_context _ ->
-          None)
-      t.constraints
-  in
-  if elim_ccs = [] then pool
-  else begin
-    let arr = Array.of_list pool in
-    let n = Array.length arr in
-    let ids = Compliance.core_ids t.cache (Array.map fst arr) in
-    let elims =
-      Array.of_list
-        (List.map
-           (fun (cc, inferior) ->
-             let slot =
-               Compliance.slot t.cache ~cc:cc.Consistency.name
-                 ~gen:(generation_of t cc.Consistency.name)
-                 ~focus:fkey
-             in
-             {
-               e_cc = cc;
-               e_slot = slot;
-               e_view = Compliance.Slot.view slot;
-               e_inferior = inferior;
-               e_kernel = None;
-               e_quarantined = quarantined_cc t cc;
-             })
-           elim_ccs)
-    in
-    (* counters ride the first constraint's merge only, so a sweep's
-       lookups are counted once, not per constraint *)
-    let merge_stores stores ~hits ~misses =
-      Array.iteri
-        (fun j writes ->
-          Compliance.Slot.merge elims.(j).e_slot writes
-            ~hits:(if j = 0 then hits else 0)
-            ~misses:(if j = 0 then misses else 0))
-        stores
-    in
-    (* per-constraint elimination totals, cache traffic and the
-       fallback flag, accumulated for the sweep span and the registry *)
-    let elim_total = Array.make (Array.length elims) 0 in
-    let hits_total = ref 0 and misses_total = ref 0 in
-    let was_fallback = ref false in
-    let sp =
-      Obs.span_begin "engine.sweep"
-        ~attrs:
-          [
-            ("focus", fkey);
-            ("pool", string_of_int n);
-            ("constraints", string_of_int (Array.length elims));
-          ]
-    in
-    let t0 = Obs.now_us () in
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.incr m_sweeps;
-        Obs.observe m_sweep_us (Obs.now_us () -. t0);
-        let eliminated = Array.fold_left ( + ) 0 elim_total in
-        Obs.add m_eliminated eliminated;
-        (* only constraints that did something: a span per no-op
-           constraint per sweep would bury the pruning story *)
-        if Obs.recording () then
-          Array.iteri
-            (fun j e ->
-              if elim_total.(j) > 0 || e.e_quarantined then
-                Obs.instant "cc.eliminate"
-                  ~attrs:
-                    [
-                      ("cc", e.e_cc.Consistency.name);
-                      ("eliminated", string_of_int elim_total.(j));
-                      ("quarantined", if e.e_quarantined then "true" else "false");
-                    ])
-            elims;
-        Obs.span_end sp
-          ~attrs:
-            [
-              ("survivors", string_of_int (n - eliminated));
-              ("hits", string_of_int !hits_total);
-              ("misses", string_of_int !misses_total);
-              ("fallback", if !was_fallback then "true" else "false");
-            ])
-      (fun () ->
-        let chunks = Parallel.map_chunks ~n (sweep_optimistic environment ids arr elims) in
-        if List.exists (fun (_, _, _, _, _, _, faulted) -> faulted) chunks then begin
-          (* a closure faulted: discard every chunk's private verdicts and
-             counters and replay sequentially, recording faults in exact
-             sequential encounter order — bit-identical to the pre-parallel
-             path (successful verdicts are deterministic and were never
-             published, so re-evaluating them has no side effects) *)
-          was_fallback := true;
-          let keep, stores, elimc, hits, misses =
-            sweep_recording t environment ids (fun i -> snd arr.(i)) elims
-          in
-          merge_stores stores ~hits ~misses;
-          Array.blit elimc 0 elim_total 0 (Array.length elimc);
-          hits_total := hits;
-          misses_total := misses;
-          let acc = ref [] in
-          for k = n - 1 downto 0 do
-            if keep.(k) then acc := arr.(k) :: !acc
-          done;
-          !acc
-        end
-        else begin
-          List.iter
-            (fun (_, _, stores, elimc, hits, misses, _) ->
-              merge_stores stores ~hits ~misses;
-              Array.iteri (fun j c -> elim_total.(j) <- elim_total.(j) + c) elimc;
-              hits_total := !hits_total + hits;
-              misses_total := !misses_total + misses)
-            chunks;
-          List.concat_map
-            (fun (lo, keep, _, _, _, _, _) ->
-              let acc = ref [] in
-              for k = Array.length keep - 1 downto 0 do
-                if keep.(k) then acc := arr.(lo + k) :: !acc
-              done;
-              !acc)
-            chunks
-        end)
-  end
-
-(* The columnar sweep: the same query as [candidates_memo], computed
-   over the index's flat columns and answered as a survivor {!Bitset}
-   over the dense-id universe instead of a core list.
+(* The columnar sweep: the same query as [candidates_naive], computed
+   incrementally over the index's flat columns and answered as a
+   survivor {!Bitset} over the dense-id universe instead of a core
+   list.
 
    The pool is an ascending dense-id array ([Index.under_ids], then the
    design-issue compliance filter over property columns).  The keep
@@ -710,10 +504,10 @@ let candidates_memo t =
    warm query costs one {!Compliance.Slot.peek_word} plus a handful of
    mask ops, with no per-core control flow at all.
 
-   Evaluation-set parity with the classic core-major/early-exit sweep:
-   the word loop applies constraints in declaration order and strips
-   eliminated cores from the keep word after each one, so a core is
-   evaluated by constraint [j] exactly when it survived constraints
+   Evaluation-set parity with the core-major/early-exit recording
+   sweep: the word loop applies constraints in declaration order and
+   strips eliminated cores from the keep word after each one, so a core
+   is evaluated by constraint [j] exactly when it survived constraints
    [0..j-1] — the same (core, constraint) pairs, in a different
    iteration order, which is invisible because successful verdicts are
    deterministic and faults abort to the sequential recording path
@@ -952,15 +746,15 @@ let candidates_bits_memo t =
           Parallel.map_chunks ~quantum:Bitset.bits_per_word ~n:m sweep_chunk
         in
         if List.exists (fun (_, _, _, faulted) -> faulted) chunks then begin
-          (* same fault protocol as the classic sweep: discard every
+          (* a closure faulted (or a kernel threw): discard every
              chunk's masks and replay sequentially with the guarded
              closures, recording faults/strikes/quarantines in exact
-             sequential encounter order *)
+             sequential encounter order (successful verdicts are
+             deterministic and were never published, so re-evaluating
+             them has no side effects) *)
           was_fallback := true;
           let keep_arr, stores, elimc, hits, misses =
-            sweep_recording t environment pool
-              (fun k -> Columnar.core store pool.(k))
-              elims
+            sweep_recording t environment store pool elims
           in
           Array.iteri
             (fun j writes ->
@@ -995,35 +789,24 @@ let candidates_bits_memo t =
   end
 
 (* The survivor set of the current state, served from the lineage cache
-   or computed by the mode's sweep.  Quarantine may advance while
+   or computed by the columnar sweep.  Quarantine may advance while
    computing, but it is monotone: the pre-computation key can never
    recur, so storing under it is safe (the entry just goes dead). *)
 let survivor_set t =
   let key = state_signature t in
   match Compliance.find_survivor_set t.cache ~key with
-  | Some s -> s
-  | None -> (
-    match t.mode with
-    | Classic ->
-      let survivors = candidates_memo t in
-      Compliance.store_survivor_list t.cache ~key survivors;
-      Compliance.S_list survivors
-    | Columnar ->
-      let bits = candidates_bits_memo t in
-      Compliance.S_bits (Compliance.store_survivor_bits t.cache ~key bits))
+  | Some sv -> sv
+  | None -> Compliance.store_survivor_bits t.cache ~key (candidates_bits_memo t)
 
 let candidates t =
   if not t.use_cache then candidates_naive t
   else
-    match survivor_set t with
-    | Compliance.S_list survivors -> survivors
-    | Compliance.S_bits sv ->
-      (* ascending dense ids are index insertion order.  Built afresh
-         per call and never cached: a cached list would pin one cons
-         per survivor for as long as the state stays in the table, and
-         every read the service serves (count, id page, signature,
-         ranges) works off the bitset instead *)
-      Bitset.map_true (Index.entry_at t.index) sv.Compliance.sv_bits
+    (* ascending dense ids are index insertion order.  Built afresh per
+       call and never cached: a cached list would pin one cons per
+       survivor for as long as the state stays in the table, and every
+       read the service serves (count, id page, signature, ranges) works
+       off the bitset instead *)
+    Bitset.map_true (Index.entry_at t.index) (survivor_set t).Compliance.sv_bits
 
 let cache_stats t = Compliance.stats t.cache
 let population t = Index.all t.index
@@ -1031,27 +814,23 @@ let population t = Index.all t.index
 let candidate_count t =
   if not t.use_cache then List.length (candidates_naive t)
   else
-    (* bitset sets answer by popcount — no million-cons list just to
-       take its length *)
-    match survivor_set t with
-    | Compliance.S_list survivors -> List.length survivors
-    | Compliance.S_bits sv -> Compliance.survivor_count sv
+    (* by popcount — no million-cons list just to take its length *)
+    Compliance.survivor_count (survivor_set t)
 
 (* The count by popcount and the first [max] ids by an early-exit walk:
    a page of a large bitset set never builds the candidate list. *)
 let candidate_page t ~max =
   let take = match max with Some m when m >= 0 -> m | Some _ | None -> Stdlib.max_int in
-  let of_list survivors =
+  if not t.use_cache then begin
+    let survivors = candidates_naive t in
     (List.length survivors, List.filteri (fun i _ -> i < take) survivors |> List.map fst)
-  in
-  if not t.use_cache then of_list (candidates_naive t)
-  else
-    match survivor_set t with
-    | Compliance.S_list survivors -> of_list survivors
-    | Compliance.S_bits sv ->
-      let store = Index.columnar t.index in
-      ( Compliance.survivor_count sv,
-        List.map (Columnar.qid store) (Bitset.take_true sv.Compliance.sv_bits take) )
+  end
+  else begin
+    let sv = survivor_set t in
+    let store = Index.columnar t.index in
+    ( Compliance.survivor_count sv,
+      List.map (Columnar.qid store) (Bitset.take_true sv.Compliance.sv_bits take) )
+  end
 
 (* Memoized like the survivor set itself (and on the same key): a
    revisited state serves its ranges without re-folding the pool. *)
@@ -1069,12 +848,9 @@ let merit_summary t ~merit =
         Obs.with_span "eval.merit_summary"
           ~attrs:[ ("merit", merit); ("cached", "false") ]
           (fun () ->
-            match survivor_set t with
-            | Compliance.S_list survivors -> Evaluation.merit_summary survivors ~merit
-            | Compliance.S_bits sv ->
-              (* straight off the merit column — no candidate list *)
-              Evaluation.merit_summary_columnar (Index.columnar t.index)
-                sv.Compliance.sv_bits ~merit)
+            (* straight off the merit column — no candidate list *)
+            Evaluation.merit_summary_columnar (Index.columnar t.index)
+              (survivor_set t).Compliance.sv_bits ~merit)
       in
       Compliance.store_summary t.cache ~key summary;
       summary
@@ -1334,27 +1110,14 @@ let candidate_signature t =
          Buffer.add_char buf '|';
          Buffer.add_string buf entry);
   let prefix = Buffer.contents buf in
-  let digest_list survivors =
+  if not t.use_cache then begin
     List.iter
       (fun (qid, _) ->
         Buffer.add_char buf '#';
         Buffer.add_string buf qid)
-      survivors;
-    Digest.string (Buffer.contents buf)
-  in
-  let compute () =
-    Digest.to_hex
-      (if not t.use_cache then digest_list (candidates t)
-       else
-         match survivor_set t with
-         | Compliance.S_list survivors -> digest_list survivors
-         | Compliance.S_bits sv ->
-           (* ascending dense ids are index insertion order, so the
-              id image's runs are exactly the bytes the list walk
-              appends *)
-           Columnar.digest_ids (Index.columnar t.index) ~prefix sv.Compliance.sv_bits)
-  in
-  if not t.use_cache then compute ()
+      (candidates t);
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  end
   else begin
     (* The candidate list is a function of the state signature (that is
        the survivor cache's contract), so (observable prefix, state
@@ -1364,7 +1127,13 @@ let candidate_signature t =
     match Compliance.find_signature t.cache ~key with
     | Some digest -> digest
     | None ->
-      let digest = compute () in
+      (* ascending dense ids are index insertion order, so the id
+         image's runs are exactly the bytes the list walk appends *)
+      let digest =
+        Digest.to_hex
+          (Columnar.digest_ids (Index.columnar t.index) ~prefix
+             (survivor_set t).Compliance.sv_bits)
+      in
       Compliance.store_signature t.cache ~key digest;
       digest
   end

@@ -31,19 +31,6 @@
     are skipped — the designer keeps working with a sound-but-wider
     space.  Fault-free sessions behave exactly as before guarding. *)
 
-type sweep_mode =
-  | Columnar
-      (** the default: the eliminate sweep runs over the index's flat
-          property/merit columns with bitset survivor sets and packed
-          word-at-a-time verdict reads; constraints may contribute
-          vectorized kernels (see {!Consistency.eliminate}) *)
-  | Classic
-      (** the retained pre-columnar path: per-core closures over a
-          candidate list, list survivor sets.  Same observable results
-          (the equivalence suite checks them bit for bit); kept as the
-          bench's same-run reference and an escape hatch
-          ([DSE_SWEEP=classic]). *)
-
 type source = Designer | Default_value | Derived of string
 
 type binding = private {
@@ -77,7 +64,6 @@ val create :
   hierarchy:Hierarchy.t ->
   ?constraints:Consistency.t list ->
   ?use_cache:bool ->
-  ?sweep_mode:sweep_mode ->
   cores:(string * Ds_reuse.Core.t) list ->
   unit ->
   t
@@ -88,17 +74,13 @@ val create :
     elimination verdicts and survivor sets are memoized in a
     {!Compliance} table shared by the session lineage, and invalidated
     per constraint when a binding of a property it declares changes (see
-    the "Performance model" section of DESIGN.md).  [~use_cache:false]
-    recomputes everything from scratch on every query — the reference
-    path the equivalence suite checks the cache against.
-
-    [sweep_mode] (default {!Columnar}, or {!Classic} when the
-    [DSE_SWEEP=classic] environment variable is set) picks the sweep
-    engine for the whole lineage; the two must not be mixed within one
-    lineage because they address verdict slots through different id
-    spaces.  It only matters when [use_cache] is true. *)
-
-val sweep_mode : t -> sweep_mode
+    the "Performance model" section of DESIGN.md).  The eliminate sweep
+    runs over the index's flat property/merit columns with bitset
+    survivor sets and packed word-at-a-time verdict reads; constraints
+    may contribute vectorized kernels (see {!Consistency.eliminate}).
+    [~use_cache:false] recomputes everything from scratch on every
+    query with per-core closures over a candidate list — the reference
+    path the equivalence suite checks the cache against. *)
 
 val pristine : t -> t
 (** A fresh session over an existing session's layer: shares the

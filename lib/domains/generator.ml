@@ -166,6 +166,6 @@ let cores spec =
       in
       ("gen/" ^ core.Core.id, core))
 
-let session ?use_cache ?sweep_mode spec =
+let session ?use_cache spec =
   Session.create ~hierarchy:(hierarchy spec) ~constraints:(constraints spec) ?use_cache
-    ?sweep_mode ~cores:(cores spec) ()
+    ~cores:(cores spec) ()

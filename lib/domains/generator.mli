@@ -11,12 +11,12 @@
     randomness flows from one seeded {!Ds_bignum.Prng}, so a spec is a
     complete, reproducible description of a layer — equal specs generate
     bit-identical layers, which is what lets the equivalence suite run
-    columnar-vs-classic differentials on generated populations.
+    columnar-vs-naive differentials on generated populations.
 
     Every elimination constraint carries both a per-core closure and a
     vectorized kernel built from the same weighted-sum loop, so layers
     from this generator exercise the kernel fast path of the columnar
-    sweep while remaining bit-comparable to the classic path. *)
+    sweep while remaining bit-comparable to the naive per-core path. *)
 
 type spec = {
   cores : int;  (** population size *)
@@ -74,7 +74,6 @@ val cores : spec -> (string * Ds_reuse.Core.t) list
     draw order (family, plain options, merits) is fixed — equal specs
     yield bit-identical core lists. *)
 
-val session :
-  ?use_cache:bool -> ?sweep_mode:Ds_layer.Session.sweep_mode -> spec -> Ds_layer.Session.t
+val session : ?use_cache:bool -> spec -> Ds_layer.Session.t
 (** Hierarchy + constraints + cores assembled into a session
-    ([use_cache] and [sweep_mode] as in {!Ds_layer.Session.create}). *)
+    ([use_cache] as in {!Ds_layer.Session.create}). *)

@@ -155,9 +155,9 @@ let cores spec =
       in
       ("syn/" ^ core.Ds_reuse.Core.id, core))
 
-let session ?use_cache ?sweep_mode spec =
+let session ?use_cache spec =
   Session.create ~hierarchy:(hierarchy spec) ~constraints:(constraints spec) ?use_cache
-    ?sweep_mode ~cores:(cores spec) ()
+    ~cores:(cores spec) ()
 
 let random_walk spec ~steps =
   validate spec;

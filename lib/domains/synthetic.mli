@@ -45,10 +45,9 @@ val constraints : spec -> Ds_layer.Consistency.t list
     to the case studies' analytic elimination formulas, so benches
     exercise realistic pruning cost. *)
 
-val session :
-  ?use_cache:bool -> ?sweep_mode:Ds_layer.Session.sweep_mode -> spec -> Ds_layer.Session.t
+val session : ?use_cache:bool -> spec -> Ds_layer.Session.t
 (** Hierarchy + constraints + cores assembled into a session
-    ([use_cache] and [sweep_mode] as in {!Ds_layer.Session.create}). *)
+    ([use_cache] as in {!Ds_layer.Session.create}). *)
 
 val random_walk : spec -> steps:int -> Ds_layer.Session.t
 (** Descend [steps] generalized decisions (always the first option) —

@@ -16,7 +16,7 @@ type t = {
   stop : bool Atomic.t;
   lock : Mutex.t;
   active : (Unix.file_descr, unit) Hashtbl.t;
-  mutable threads : Thread.t list;
+  drained : Condition.t;  (* signalled whenever a connection leaves [active] *)
   mutable served : int;
   counter : int Atomic.t;  (* minted-session-id sequence *)
   pid : int;
@@ -31,36 +31,15 @@ type t = {
   c_passthrough : Obs.counter;
 }
 
-let env_idle_timeout () =
-  match Sys.getenv_opt "DSE_IDLE_TIMEOUT" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0.0 -> Some f
-    | _ -> None)
-  | None -> None
-
-let env_pipeline_depth () =
-  match Sys.getenv_opt "DSE_PIPELINE_DEPTH" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d -> Some (Stdlib.min 1024 (Stdlib.max 1 d))
-    | None -> None)
-  | None -> None
-
 let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_depth
     ?(thin_parse = true) ?idle_timeout () =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
   Unix.listen listen_fd 128;
   let registry = Obs.create_registry () in
   let idle_timeout =
-    match idle_timeout with Some _ as t -> t | None -> env_idle_timeout ()
-  in
-  let pipeline_depth =
-    match pipeline_depth with
-    | Some d -> Stdlib.min 1024 (Stdlib.max 1 d)
-    | None -> ( match env_pipeline_depth () with Some d -> d | None -> 16)
+    match idle_timeout with Some _ as t -> t | None -> Ds_serve.Server.env_idle_timeout ()
   in
   {
     socket;
@@ -70,13 +49,13 @@ let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_
       List.map (fun (name, sock) -> (name, Backend.create ~slots ~name ~socket:sock ())) workers;
     registry;
     max_request = Stdlib.max 1024 max_request;
-    pipeline_depth;
+    pipeline_depth = Ds_serve.Server.pipeline_depth pipeline_depth;
     thin_parse;
     idle_timeout;
     stop = Atomic.make false;
     lock = Mutex.create ();
     active = Hashtbl.create 64;
-    threads = [];
+    drained = Condition.create ();
     served = 0;
     counter = Atomic.make 0;
     pid = Unix.getpid ();
@@ -302,82 +281,40 @@ let getf k j =
   | Some (Jsonx.Int i) -> float_of_int i
   | _ -> 0.0
 
-let num_add a b =
-  match (a, b) with
-  | Jsonx.Int x, Jsonx.Int y -> Jsonx.Int (x + y)
-  | (Jsonx.Int _ | Jsonx.Float _), (Jsonx.Int _ | Jsonx.Float _) ->
-    let f = function Jsonx.Int i -> float_of_int i | Jsonx.Float f -> f | _ -> 0.0 in
-    Jsonx.Float (f a +. f b)
-  | _ -> a
+(* Key-wise union of two assoc lists: shared keys merge with [leaf];
+   the left side's keys keep their order and the right side's new keys
+   follow in theirs. *)
+let union leaf a b =
+  List.map
+    (fun (k, va) -> match List.assoc_opt k b with Some vb -> (k, leaf va vb) | None -> (k, va))
+    a
+  @ List.filter (fun (k, _) -> not (List.mem_assoc k a)) b
 
-(* Field-wise union of two JSON objects: shared keys merge with
-   [leaf], keys of one side pass through. *)
+(* Field-wise union of two JSON objects. *)
 let merge_obj leaf a b =
-  match (a, b) with
-  | Jsonx.Obj fa, Jsonx.Obj fb ->
-    let merged =
-      List.map
-        (fun (k, va) ->
-          match List.assoc_opt k fb with Some vb -> (k, leaf va vb) | None -> (k, va))
-        fa
-    in
-    let extra = List.filter (fun (k, _) -> not (List.mem_assoc k fa)) fb in
-    Jsonx.Obj (merged @ extra)
-  | _ -> a
+  match (a, b) with Jsonx.Obj fa, Jsonx.Obj fb -> Jsonx.Obj (union leaf fa fb) | _ -> a
 
-(* The wire form of Obs.merge_hsnapshots: counts add per bucket (every
-   histogram shares the one bound table), count/sum add, min/max
-   extremize — with empty-side care because the exporter flattens an
-   empty min/max to 0.0. *)
-let merge_hist a b =
-  let ca = geti "count" a and cb = geti "count" b in
-  let buckets j =
-    match Option.bind (Jsonx.member "buckets" j) Jsonx.to_list with
-    | Some l -> List.map (fun v -> match Jsonx.to_int v with Some i -> i | None -> 0) l
-    | None -> []
-  in
-  let rec zip xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> l
-    | x :: xs, y :: ys -> (x + y) :: zip xs ys
-  in
-  let min_merged =
-    if ca = 0 then getf "min" b
-    else if cb = 0 then getf "min" a
-    else Float.min (getf "min" a) (getf "min" b)
-  in
-  Jsonx.Obj
-    [
-      ("count", Jsonx.Int (ca + cb));
-      ("sum", Jsonx.Float (getf "sum" a +. getf "sum" b));
-      ("min", Jsonx.Float min_merged);
-      ("max", Jsonx.Float (Float.max (getf "max" a) (getf "max" b)));
-      ("buckets", Jsonx.List (List.map (fun c -> Jsonx.Int c) (zip (buckets a) (buckets b))));
-    ]
+(* Counters and gauges add; histograms merge bucket-wise (exact: every
+   histogram shares the one bound table). *)
+let merge_views (a : P.registry_view) (b : P.registry_view) =
+  {
+    P.counters = union ( + ) a.P.counters b.P.counters;
+    gauges = union ( +. ) a.P.gauges b.P.gauges;
+    histograms = union Obs.merge_hsnapshots a.P.histograms b.P.histograms;
+  }
 
-let merge_registries a b =
-  merge_obj
-    (fun section_a section_b ->
-      (* each registry value is {counters,gauges,histograms} *)
-      match (section_a, section_b) with
-      | Jsonx.Obj _, Jsonx.Obj _ ->
-        Jsonx.Obj
-          [
-            ( "counters",
-              merge_obj num_add
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "counters" section_a))
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "counters" section_b)) );
-            ( "gauges",
-              merge_obj num_add
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "gauges" section_a))
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "gauges" section_b)) );
-            ( "histograms",
-              merge_obj merge_hist
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "histograms" section_a))
-                (Option.value ~default:(Jsonx.Obj []) (Jsonx.member "histograms" section_b)) );
-          ]
-      | _ -> section_a)
-    a b
+(* A shard's ["registries"] object, decoded tag by tag. *)
+let decode_registries payload =
+  match List.assoc_opt "registries" payload with
+  | Some (Jsonx.Obj tags) ->
+    List.fold_right
+      (fun (tag, json) acc ->
+        Result.bind acc (fun acc ->
+            match P.registry_of_json json with
+            | Ok view -> Ok ((tag, view) :: acc)
+            | Error msg -> Error (Printf.sprintf "undecodable registry %S: %s" tag msg)))
+      tags (Ok [])
+  | _ -> Error "metrics reply without a \"registries\" object"
 
 (* {count,mean_us,max_us} — the legacy stats shape; the mean re-weights
    by count so the merge is the figure one big server would report. *)
@@ -394,26 +331,6 @@ let merge_stat a b =
       ("count", Jsonx.Int (ca + cb));
       ("mean_us", Jsonx.Float mean);
       ("max_us", Jsonx.Float (Float.max (getf "max_us" a) (getf "max_us" b)));
-    ]
-
-let registry_json reg =
-  let finite f = Jsonx.Float (if Float.is_finite f then f else 0.0) in
-  let hist_json (s : Obs.hsnapshot) =
-    Jsonx.Obj
-      [
-        ("count", Jsonx.Int s.Obs.h_count);
-        ("sum", finite s.Obs.h_sum);
-        ("min", finite s.Obs.h_min);
-        ("max", finite s.Obs.h_max);
-        ("buckets", Jsonx.List (Array.to_list (Array.map (fun c -> Jsonx.Int c) s.Obs.h_counts)));
-      ]
-  in
-  Jsonx.Obj
-    [
-      ("counters", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) (Obs.counters reg)));
-      ("gauges", Jsonx.Obj (List.map (fun (k, v) -> (k, finite v)) (Obs.gauges reg)));
-      ( "histograms",
-        Jsonx.Obj (List.map (fun (k, s) -> (k, hist_json s)) (Obs.histograms reg)) );
     ]
 
 (* Ask every worker, decode, split successes from failures. *)
@@ -445,35 +362,32 @@ let shards_field results =
              | Error msg -> Jsonx.Obj [ ("error", Jsonx.Str msg) ] ))
          results) )
 
-let merged_metrics t results =
-  let oks = List.filter_map (fun (_, r) -> Result.to_option r) results in
-  match oks with
-  | [] -> P.print_response (P.Failed (P.Session_unavailable, "no worker answered metrics"))
-  | first :: rest ->
+let merge_metrics ~router results =
+  (* a shard whose registries do not decode is reported like one that
+     did not answer — never zero-filled into the merge *)
+  let decoded =
+    List.map
+      (fun (name, r) ->
+        (name, Result.bind r (fun p -> Result.map (fun regs -> (p, regs)) (decode_registries p))))
+      results
+  in
+  match List.filter_map (fun (_, r) -> Result.to_option r) decoded with
+  | [] -> Error "no worker answered metrics"
+  | (first, first_regs) :: rest as oks ->
     let get k payload = Jsonx.member k (Jsonx.Obj payload) in
     let uptime =
-      List.fold_left
-        (fun acc p -> Float.max acc (getf "uptime_s" (Jsonx.Obj p)))
-        0.0 oks
+      List.fold_left (fun acc (p, _) -> Float.max acc (getf "uptime_s" (Jsonx.Obj p))) 0.0 oks
     in
-    let sessions = List.fold_left (fun acc p -> acc + geti "sessions" (Jsonx.Obj p)) 0 oks in
+    let sessions = List.fold_left (fun acc (p, _) -> acc + geti "sessions" (Jsonx.Obj p)) 0 oks in
     let registries =
-      List.fold_left
-        (fun acc p ->
-          merge_registries acc (Option.value ~default:(Jsonx.Obj []) (get "registries" p)))
-        (Option.value ~default:(Jsonx.Obj []) (get "registries" first))
-        rest
-    in
-    let registries =
-      match registries with
-      | Jsonx.Obj fields -> Jsonx.Obj (fields @ [ ("router", registry_json t.registry) ])
-      | other -> other
+      List.fold_left (fun acc (_, regs) -> union merge_views acc regs) first_regs rest
+      |> List.map (fun (tag, view) -> (tag, P.registry_view_to_json view))
     in
     (* The slow log rides the same payload: router-local lines first,
        then each shard's, re-bounded to one ring's worth so a fleet
        answer can't grow with worker count.  Truncated lines count as
        dropped — the reader sees the loss, not a silently shorter log. *)
-    let slow_lines_of p =
+    let slow_lines_of (p, _) =
       match get "slow" p with
       | Some (Jsonx.List l) ->
         List.filter_map (function Jsonx.Str s -> Some s | _ -> None) l
@@ -482,28 +396,33 @@ let merged_metrics t results =
     let router_slow, router_dropped = Obs.slow_read () in
     let slow = router_slow @ List.concat_map slow_lines_of oks in
     let dropped =
-      List.fold_left (fun acc p -> acc + geti "slow_dropped" (Jsonx.Obj p)) router_dropped oks
+      List.fold_left
+        (fun acc (p, _) -> acc + geti "slow_dropped" (Jsonx.Obj p))
+        router_dropped oks
     in
     let cap = 64 in
     let kept = List.filteri (fun i _ -> i < cap) slow in
     let dropped = dropped + (List.length slow - List.length kept) in
-    P.print_response
-      (P.Reply
-         [
-           ("uptime_s", Jsonx.Float uptime);
-           ("sessions", Jsonx.Int sessions);
-           ( "bounds",
-             Option.value
-               ~default:
-                 (Jsonx.List
-                    (Array.to_list (Array.map (fun b -> Jsonx.Float b) Obs.bucket_bounds)))
-               (get "bounds" first) );
-           ("workers", Jsonx.Int (List.length results));
-           ("registries", registries);
-           ("slow", Jsonx.List (List.map (fun l -> Jsonx.Str l) kept));
-           ("slow_dropped", Jsonx.Int dropped);
-           shards_field results;
-         ])
+    Ok
+      [
+        ("uptime_s", Jsonx.Float uptime);
+        ("sessions", Jsonx.Int sessions);
+        ( "bounds",
+          Option.value
+            ~default:
+              (Jsonx.List (Array.to_list (Array.map (fun b -> Jsonx.Float b) Obs.bucket_bounds)))
+            (get "bounds" first) );
+        ("workers", Jsonx.Int (List.length results));
+        ("registries", Jsonx.Obj (registries @ [ ("router", P.registry_to_json router) ]));
+        ("slow", Jsonx.List (List.map (fun l -> Jsonx.Str l) kept));
+        ("slow_dropped", Jsonx.Int dropped);
+        shards_field (List.map (fun (name, r) -> (name, Result.map fst r)) decoded);
+      ]
+
+let merged_metrics t results =
+  match merge_metrics ~router:t.registry results with
+  | Ok fields -> P.print_response (P.Reply fields)
+  | Error msg -> P.print_response (P.Failed (P.Session_unavailable, msg))
 
 let merged_stats results =
   let oks = List.filter_map (fun (_, r) -> Result.to_option r) results in
@@ -758,7 +677,7 @@ let try_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
    [Backend.round_trip_many] — one slot, one upstream flush — so a
    deep client pipeline costs one syscall round per shard per drain
    instead of one per request. *)
-let serve_connection t fd =
+let serve_lines t fd =
   let reader = Lineio.create ?idle_timeout:t.idle_timeout fd in
   let out = Buffer.create 4096 in
   let overflow_reply () =
@@ -875,12 +794,21 @@ let serve_connection t fd =
          | `More | `Drained -> if not (Atomic.get t.stop) then loop ())
      in
      loop ()
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  Mutex.lock t.lock;
-  Hashtbl.remove t.active fd;
-  t.served <- t.served + 1;
-  try_close fd;
-  Mutex.unlock t.lock
+   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ())
+
+(* The exit bookkeeping runs however [serve_lines] ends — an escaping
+   exception included — so the shutdown drain in [serve] never waits on
+   a connection that is gone. *)
+let serve_connection t fd =
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock t.lock;
+      Hashtbl.remove t.active fd;
+      t.served <- t.served + 1;
+      try_close fd;
+      Condition.broadcast t.drained;
+      Mutex.unlock t.lock)
+    (fun () -> serve_lines t fd)
 
 let serve t =
   (* a worker SIGKILLed mid-forward must surface as EPIPE on the
@@ -892,15 +820,16 @@ let serve t =
     else begin
       (match Unix.select [ t.listen_fd ] [] [] 0.2 with
       | [ _ ], _, _ -> (
-        match Unix.accept t.listen_fd with
+        match Unix.accept ~cloexec:true t.listen_fd with
         | fd, _ ->
           Mutex.lock t.lock;
           Hashtbl.replace t.active fd ();
+          Mutex.unlock t.lock;
           (* thread per connection: the router's work per request is a
              parse and two line copies, so connections are I/O-bound
-             and hundreds of systhreads overlap fine *)
-          t.threads <- Thread.create (fun () -> serve_connection t fd) () :: t.threads;
-          Mutex.unlock t.lock
+             and hundreds of systhreads overlap fine.  Nothing keeps
+             the thread handle: [serve] drains on [active] instead *)
+          ignore (Thread.create (fun () -> serve_connection t fd) ())
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -913,8 +842,9 @@ let serve t =
   Hashtbl.iter
     (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     t.active;
-  let threads = t.threads in
+  while Hashtbl.length t.active > 0 do
+    Condition.wait t.drained t.lock
+  done;
   Mutex.unlock t.lock;
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
   List.iter (fun (_, b) -> Backend.close b) t.backends;
   try Unix.unlink t.socket with Unix.Unix_error _ -> ()

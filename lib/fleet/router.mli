@@ -84,6 +84,20 @@ val handle_line : t -> string -> string
     on an escaped or duplicated ["trace"] member — never a semantic
     fork. *)
 
+val merge_metrics :
+  router:Ds_obs.Obs.registry ->
+  (string * ((string * Ds_serve.Jsonx.t) list, string) result) list ->
+  ((string * Ds_serve.Jsonx.t) list, string) result
+(** The fleet [metrics] reply payload from per-shard results (ring name,
+    the shard's reply payload or why it did not answer).  Each shard's
+    ["registries"] decode through {!Ds_serve.Protocol.registry_of_json}
+    and merge per tag: counters and gauges add, histograms merge with
+    {!Ds_obs.Obs.merge_hsnapshots}; [router] is appended as the
+    ["router"] registry.  A shard whose registries do not decode is
+    listed under ["shards"] with an ["error"], exactly like a shard
+    that did not answer, and contributes nothing else.  [Error] when no
+    shard contributed. *)
+
 val http_routes : t -> string -> Ds_serve.Httpd.reply option
 (** The router's HTTP observability plane: [/metrics] (concatenated
     per-shard Prometheus expositions plus the router's own),
@@ -94,8 +108,9 @@ val http_routes : t -> string -> Ds_serve.Httpd.reply option
 val registry : t -> Ds_obs.Obs.registry
 
 val serve : t -> unit
-(** Accept until {!shutdown}; joins connection threads, closes
-    backends, unlinks the socket. *)
+(** Accept until {!shutdown}; then stops reading on every open
+    connection, waits until each has written its in-flight replies and
+    closed, closes backends and unlinks the socket. *)
 
 val shutdown : t -> unit
 (** Idempotent, signal-handler safe. *)

@@ -11,7 +11,7 @@ let default_max_response = 8 * 1024 * 1024
 
 let connect ?(max_response = default_max_response) ~socket () =
   match
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     try
       Unix.connect fd (Unix.ADDR_UNIX socket);
       Ok fd

@@ -126,7 +126,7 @@ let handle_connection routes fd =
 
 let start ~addr:(host, port) ~routes () =
   match
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     try
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
       Unix.bind fd (Unix.ADDR_INET (resolve host, port));
@@ -148,7 +148,7 @@ let start ~addr:(host, port) ~routes () =
       while not (Atomic.get t.stop) do
         match Unix.select [ t.fd ] [] [] 0.2 with
         | [ _ ], _, _ -> (
-          match Unix.accept t.fd with
+          match Unix.accept ~cloexec:true t.fd with
           | cfd, _ ->
             (* a thread per request: requests are tiny, but a stalled
                scraper must not block the accept loop *)

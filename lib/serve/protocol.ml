@@ -507,3 +507,87 @@ let response_of_string line =
 let ok_payload = function
   | Reply payload -> Ok payload
   | Failed (code, message) -> Error (Printf.sprintf "%s: %s" (error_code_label code) message)
+
+(* ------------------------------------------------------------------ *)
+(* Metrics registries                                                  *)
+
+module Obs = Ds_obs.Obs
+
+type registry_view = {
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * Obs.hsnapshot) list;
+}
+
+(* JSON has no infinities: an empty histogram's min/max (and any
+   non-finite gauge) travel as 0.0; the decoder restores the empty
+   histogram's extremes from its zero count. *)
+let finite f = Jsonx.Float (if Float.is_finite f then f else 0.0)
+
+let registry_view_to_json v =
+  let hist (s : Obs.hsnapshot) =
+    Jsonx.Obj
+      [
+        ("count", Jsonx.Int s.Obs.h_count);
+        ("sum", finite s.Obs.h_sum);
+        ("min", finite s.Obs.h_min);
+        ("max", finite s.Obs.h_max);
+        ("buckets", Jsonx.List (Array.to_list (Array.map (fun c -> Jsonx.Int c) s.Obs.h_counts)));
+      ]
+  in
+  let section f kvs = Jsonx.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  Jsonx.Obj
+    [
+      ("counters", section (fun v -> Jsonx.Int v) v.counters);
+      ("gauges", section finite v.gauges);
+      ("histograms", section hist v.histograms);
+    ]
+
+let registry_to_json r =
+  registry_view_to_json
+    { counters = Obs.counters r; gauges = Obs.gauges r; histograms = Obs.histograms r }
+
+let hsnapshot_of_json json =
+  let num k = Option.bind (Jsonx.member k json) Jsonx.to_float in
+  match
+    ( Option.bind (Jsonx.member "count" json) Jsonx.to_int,
+      num "sum",
+      num "min",
+      num "max",
+      Option.bind (Jsonx.member "buckets" json) Jsonx.to_list )
+  with
+  | Some count, Some sum, Some mn, Some mx, Some buckets ->
+    let expected = Array.length Obs.bucket_bounds + 1 in
+    let counts = Array.of_list (List.filter_map Jsonx.to_int buckets) in
+    if List.length buckets <> expected || Array.length counts <> expected then
+      Error (Printf.sprintf "%d buckets, expected %d integers" (List.length buckets) expected)
+    else
+      let empty = count = 0 in
+      Ok
+        {
+          Obs.h_count = count;
+          h_sum = sum;
+          h_min = (if empty then infinity else mn);
+          h_max = (if empty then neg_infinity else mx);
+          h_counts = counts;
+        }
+  | _ -> Error "needs integer count, numeric sum/min/max and a buckets array"
+
+let registry_of_json json =
+  let section key decode =
+    match Jsonx.member key json with
+    | Some (Jsonx.Obj fields) ->
+      List.fold_right
+        (fun (name, v) acc ->
+          let* acc = acc in
+          match decode v with
+          | Ok x -> Ok ((name, x) :: acc)
+          | Error msg -> Error (Printf.sprintf "%s %S: %s" key name msg))
+        fields (Ok [])
+    | _ -> Error (Printf.sprintf "registry without a %S object" key)
+  in
+  let need what = function Some x -> Ok x | None -> Error ("not " ^ what) in
+  let* counters = section "counters" (fun v -> need "an integer" (Jsonx.to_int v)) in
+  let* gauges = section "gauges" (fun v -> need "a number" (Jsonx.to_float v)) in
+  let* histograms = section "histograms" hsnapshot_of_json in
+  Ok { counters; gauges; histograms }

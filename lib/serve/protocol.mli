@@ -221,3 +221,32 @@ val value_of_json : Jsonx.t -> (Ds_layer.Value.t, string) result
     [Value.Real], strings [Str], booleans [Flag] — the same coercions
     the CLI applies to NAME=VALUE text (and {!Ds_layer.Domain.contains}
     widens [Int] where a real is expected). *)
+
+(** {2 Metrics registries}
+
+    The one JSON codec for a telemetry registry, as the [metrics] op
+    ships it under ["registries"]: [{"counters":{..},"gauges":{..},
+    "histograms":{name:{"count","sum","min","max","buckets"}}}]. *)
+
+(** A registry's contents as plain values — what the decoder returns
+    and what the fleet router merges. *)
+type registry_view = {
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * Ds_obs.Obs.hsnapshot) list;
+}
+
+val registry_to_json : Ds_obs.Obs.registry -> Jsonx.t
+(** Non-finite values (an empty histogram's min/max, a non-finite
+    gauge) are written as [0.0]: JSON has no infinities. *)
+
+val registry_view_to_json : registry_view -> Jsonx.t
+(** {!registry_to_json} of an already-snapshotted view. *)
+
+val registry_of_json : Jsonx.t -> (registry_view, string) result
+(** The inverse of {!registry_to_json}, fields in wire order.  A
+    zero-count histogram gets back [min = infinity] and
+    [max = neg_infinity] (the {!Ds_obs.Obs.empty_hsnapshot} extremes the
+    encoder flattened).  Fails on a missing section, a non-integer
+    counter or bucket, or a bucket array whose length is not
+    [Array.length Ds_obs.Obs.bucket_bounds + 1]. *)

@@ -36,31 +36,28 @@ let env_idle_timeout () =
   | None -> None
 
 (* DSE_PIPELINE_DEPTH: how many requests one connection may have in
-   flight (decoded ahead of dispatch) before the reader stops reading;
-   default 16, clamped to 1..1024.  Depth 1 is the historical strict
+   flight (decoded ahead of dispatch) before the reader stops reading.
+   An explicit depth wins over the environment; either is clamped to
+   1..1024, and the default is 16.  Depth 1 is the historical strict
    request/reply lockstep. *)
-let env_pipeline_depth () =
-  match Sys.getenv_opt "DSE_PIPELINE_DEPTH" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d -> Some (Stdlib.min 1024 (Stdlib.max 1 d))
-    | None -> None)
-  | None -> None
+let pipeline_depth explicit =
+  let depth =
+    match explicit with
+    | Some _ -> explicit
+    | None ->
+      Option.bind (Sys.getenv_opt "DSE_PIPELINE_DEPTH") (fun s -> int_of_string_opt (String.trim s))
+  in
+  Stdlib.min 1024 (Stdlib.max 1 (Option.value depth ~default:16))
 
-let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth ?idle_timeout
-    service =
+let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth:depth
+    ?idle_timeout service =
   (* replace a stale socket file from a previous (crashed) server *)
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
   Unix.listen listen_fd 64;
   let idle_timeout =
     match idle_timeout with Some _ as t -> t | None -> env_idle_timeout ()
-  in
-  let pipeline_depth =
-    match pipeline_depth with
-    | Some d -> Stdlib.min 1024 (Stdlib.max 1 d)
-    | None -> ( match env_pipeline_depth () with Some d -> d | None -> 16)
   in
   {
     service;
@@ -75,7 +72,7 @@ let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth ?idl
     active = Hashtbl.create 16;
     served = 0;
     idle_timeout;
-    pipeline_depth;
+    pipeline_depth = pipeline_depth depth;
     idle_reaped = Obs.counter (Service.registry service) "dse_serve_idle_reaped_total";
   }
 
@@ -286,7 +283,7 @@ let serve t =
     else begin
       (match Unix.select [ t.listen_fd ] [] [] 0.2 with
       | [ _ ], _, _ -> (
-        match Unix.accept t.listen_fd with
+        match Unix.accept ~cloexec:true t.listen_fd with
         | fd, _ -> push t (Some (fd, Unix.gettimeofday ()))
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
       | _ -> ()

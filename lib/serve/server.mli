@@ -54,6 +54,15 @@ val create :
     clients cannot pin worker fds.
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
+val env_idle_timeout : unit -> float option
+(** [DSE_IDLE_TIMEOUT] as a positive number of seconds; [None] when it
+    is unset, unparseable or not positive. *)
+
+val pipeline_depth : int option -> int
+(** The per-connection pipeline depth: the explicit value, else
+    [DSE_PIPELINE_DEPTH], else 16 — clamped to 1..1024 (unparseable
+    environment values fall back to 16). *)
+
 val serve : t -> unit
 (** Run until {!shutdown}; joins all workers before returning. *)
 

@@ -1317,27 +1317,6 @@ let dispatch t ph req =
     | Some "prometheus" ->
       P.Reply [ ("format", Jsonx.Str "prometheus"); ("text", Jsonx.Str (Obs.prometheus regs)) ]
     | None | Some "json" ->
-      let finite f = Jsonx.Float (if Float.is_finite f then f else 0.0) in
-      let hist_json (s : Obs.hsnapshot) =
-        Jsonx.Obj
-          [
-            ("count", Jsonx.Int s.Obs.h_count);
-            ("sum", finite s.Obs.h_sum);
-            ("min", finite s.Obs.h_min);
-            ("max", finite s.Obs.h_max);
-            ("buckets", Jsonx.List (Array.to_list (Array.map (fun c -> Jsonx.Int c) s.Obs.h_counts)));
-          ]
-      in
-      let reg_json r =
-        Jsonx.Obj
-          [
-            ( "counters",
-              Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Int v)) (Obs.counters r)) );
-            ("gauges", Jsonx.Obj (List.map (fun (k, v) -> (k, finite v)) (Obs.gauges r)));
-            ( "histograms",
-              Jsonx.Obj (List.map (fun (k, s) -> (k, hist_json s)) (Obs.histograms r)) );
-          ]
-      in
       let slow_lines, slow_dropped = Obs.slow_read () in
       P.Reply
         [
@@ -1345,7 +1324,7 @@ let dispatch t ph req =
           ("sessions", Jsonx.Int (Store.count t.store));
           ( "bounds",
             Jsonx.List (Array.to_list (Array.map (fun b -> Jsonx.Float b) Obs.bucket_bounds)) );
-          ("registries", Jsonx.Obj (List.map (fun (tag, r) -> (tag, reg_json r)) regs));
+          ("registries", Jsonx.Obj (List.map (fun (tag, r) -> (tag, P.registry_to_json r)) regs));
           ("slow", Jsonx.List (List.map (fun l -> Jsonx.Str l) slow_lines));
           ("slow_dropped", Jsonx.Int slow_dropped);
         ]

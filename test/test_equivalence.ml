@@ -373,11 +373,10 @@ let test_parallel_differential_faults () =
 
 (* -------------------------------------------------------------------- *)
 (* Generated layers: the columnar sweep (bitset survivors, vectorized
-   kernels) against the retained classic engine and the naive recompute,
-   across seeds and population sizes — including sizes that do not fall
-   on bitset word boundaries.  Signatures must match byte for byte: the
-   journal replay check of PR 6 depends on both engines signing
-   identical states identically.                                         *)
+   kernels) against the naive recompute, across seeds and population
+   sizes — including sizes that do not fall on bitset word boundaries.
+   Signatures must match byte for byte: journal replay depends on the
+   bitset digest signing a state exactly as the list walk does.          *)
 
 let gen_steps =
   let rebind name v s = Result.bind (Session.retract s name) (fun s -> Session.set s name v) in
@@ -397,13 +396,7 @@ let test_generated_differential () =
     (fun (seed, cores) ->
       let spec = { Gn.default_spec with Gn.seed; Gn.cores } in
       let col = ref (Gn.session spec) in
-      let cls = ref (Gn.session ~sweep_mode:Session.Classic spec) in
       let naive = ref (Gn.session ~use_cache:false spec) in
-      Alcotest.(check bool)
-        (Printf.sprintf "s%d n%d: modes differ" seed cores)
-        true
-        (Session.sweep_mode !col = Session.Columnar
-        && Session.sweep_mode !cls = Session.Classic);
       List.iter
         (fun (label, f) ->
           let ctx = Printf.sprintf "gen s%d n%d/%s" seed cores label in
@@ -411,18 +404,16 @@ let test_generated_differential () =
             match f !r with Ok s -> r := s | Error msg -> Alcotest.failf "%s: %s" ctx msg
           in
           apply col;
-          apply cls;
           apply naive;
-          (* twice: cold, then served from each engine's own cache *)
+          (* twice: cold, then served from the columnar cache *)
           for _ = 1 to 2 do
-            Alcotest.(check (list string)) (ctx ^ ": columnar = naive") (ids !naive) (ids !col);
-            Alcotest.(check (list string)) (ctx ^ ": classic = naive") (ids !naive) (ids !cls)
+            Alcotest.(check (list string)) (ctx ^ ": columnar = naive") (ids !naive) (ids !col)
           done;
           Alcotest.(check string) (ctx ^ ": signatures")
-            (Session.candidate_signature !cls)
+            (Session.candidate_signature !naive)
             (Session.candidate_signature !col);
           Alcotest.(check int) (ctx ^ ": counts")
-            (Session.candidate_count !cls)
+            (Session.candidate_count !naive)
             (Session.candidate_count !col);
           check_self ctx !col)
         gen_steps)
@@ -449,14 +440,14 @@ let test_generated_cache_effective () =
 (* Fault injection drops the kernels (Faultsim wraps only the closure),
    so the columnar sweep must abandon its optimistic pass and replay the
    faulting closure sequentially — same candidate sets, same
-   quarantine timeline as classic and naive. *)
+   quarantine timeline as the naive recompute. *)
 let test_generated_faults () =
   let spec = { Gn.default_spec with Gn.cores = 400 } in
   let constraints =
     Faultsim.wrap_plan ~plan:[ ("GEL0", Faultsim.Raise) ] (Gn.constraints spec)
   in
-  let mk ?sweep_mode use_cache =
-    Session.create ~use_cache ?sweep_mode ~hierarchy:(Gn.hierarchy spec) ~constraints
+  let mk use_cache =
+    Session.create ~use_cache ~hierarchy:(Gn.hierarchy spec) ~constraints
       ~cores:(Gn.cores spec) ()
   in
   let bind s i =
@@ -464,15 +455,15 @@ let test_generated_faults () =
         Session.set s (Gn.budget_name i) (Value.real (170.0 +. (30.0 *. float_of_int i))))
   in
   let drive s = List.fold_left bind (Ok s) (List.init spec.Gn.ccs Fun.id) in
-  match (drive (mk true), drive (mk ~sweep_mode:Session.Classic true), drive (mk false)) with
-  | Ok col, Ok cls, Ok naive ->
+  let health s = List.map (fun (cc, st) -> (cc, Guard.status_label st)) (Session.health s) in
+  match (drive (mk true), drive (mk false)) with
+  | Ok col, Ok naive ->
     for round = 1 to 3 do
       ignore (Session.candidates col);
-      ignore (Session.candidates cls);
       ignore (Session.candidates naive);
       let ctx = Printf.sprintf "gen inject round %d" round in
       Alcotest.(check (list string)) (ctx ^ ": columnar = naive") (ids naive) (ids col);
-      Alcotest.(check (list string)) (ctx ^ ": classic = naive") (ids naive) (ids cls);
+      Alcotest.(check (list (pair string string))) (ctx ^ ": health") (health naive) (health col);
       check_self ctx col
     done;
     List.iter
@@ -481,8 +472,8 @@ let test_generated_faults () =
           (match List.assoc "GEL0" (Session.health s) with
           | Guard.Quarantined _ -> true
           | _ -> false))
-      [ ("columnar", col); ("classic", cls) ]
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Alcotest.failf "drive failed: %s" msg
+      [ ("columnar", col); ("naive", naive) ]
+  | Error msg, _ | _, Error msg -> Alcotest.failf "drive failed: %s" msg
 
 (* Parallel-vs-sequential on a generated layer: chunked columnar sweeps
    with kernels under both pool settings, plus the naive oracle. *)
@@ -544,7 +535,7 @@ let () =
         ] );
       ( "generated layers",
         [
-          Alcotest.test_case "columnar vs classic vs naive" `Quick test_generated_differential;
+          Alcotest.test_case "columnar vs naive" `Quick test_generated_differential;
           Alcotest.test_case "cache effective" `Quick test_generated_cache_effective;
           Alcotest.test_case "fault fallback" `Quick test_generated_faults;
           Alcotest.test_case "parallel differential" `Quick

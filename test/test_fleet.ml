@@ -13,6 +13,7 @@ module Router = Ds_fleet.Router
 module Backend = Ds_fleet.Backend
 module J = Ds_serve.Jsonx
 module P = Ds_serve.Protocol
+module Obs = Ds_obs.Obs
 
 let tmpdir prefix =
   let dir = Filename.temp_file prefix "" in
@@ -298,6 +299,222 @@ let test_fleet_metrics_merge () =
       | Some n -> Alcotest.failf "merged open count %d < 5" n
       | None -> Alcotest.fail "merged open histogram without count")
 
+(* ------------------------------------------------------------------ *)
+(* The metrics merge on canned shard payloads                          *)
+
+let canned_hist ?(buckets = []) ~count ~sum ~min ~max () =
+  J.Obj
+    [
+      ("count", J.Int count);
+      ("sum", J.Float sum);
+      ("min", J.Float min);
+      ("max", J.Float max);
+      ( "buckets",
+        J.List
+          (List.init
+             (Array.length Obs.bucket_bounds + 1)
+             (fun i -> J.Int (Option.value ~default:0 (List.assoc_opt i buckets)))) );
+    ]
+
+let zero_hist = canned_hist ~count:0 ~sum:0.0 ~min:0.0 ~max:0.0 ()
+
+let canned_registry ~counters ~gauges ~histograms =
+  J.Obj
+    [
+      ("counters", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters));
+      ("gauges", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) gauges));
+      ("histograms", J.Obj histograms);
+    ]
+
+let canned_shard ~uptime ~sessions registries =
+  [
+    ("uptime_s", J.Float uptime);
+    ("sessions", J.Int sessions);
+    ("registries", J.Obj registries);
+    ("slow", J.List []);
+    ("slow_dropped", J.Int 0);
+  ]
+
+(* shard a: a zero-count histogram (set) the other shard fills, and a
+   live one (engine sweep) the other shard leaves empty *)
+let shard_a =
+  canned_shard ~uptime:12.5 ~sessions:2
+    [
+      ( "service",
+        canned_registry
+          ~counters:[ ("dse_requests_total", 7); ("dse_sessions_opened_total", 2) ]
+          ~gauges:[ ("dse_store_resident", 2.0) ]
+          ~histograms:
+            [
+              ( "dse_request_us{op=\"open\"}",
+                canned_hist ~count:2 ~sum:30.7 ~min:10.25 ~max:20.45
+                  ~buckets:[ (11, 1); (14, 1) ] () );
+              ("dse_request_us{op=\"set\"}", zero_hist);
+            ] );
+      ( "engine",
+        canned_registry
+          ~counters:[ ("dse_engine_sweeps_total", 3) ]
+          ~gauges:[]
+          ~histograms:
+            [
+              ( "dse_engine_sweep_us",
+                canned_hist ~count:3 ~sum:1234.5 ~min:100.1 ~max:900.3
+                  ~buckets:[ (21, 1); (29, 1); (31, 1) ] () );
+            ] );
+    ]
+
+(* shard b: overlapping counters plus a counter, a gauge and a
+   histogram shard a lacks *)
+let shard_b =
+  canned_shard ~uptime:30.25 ~sessions:3
+    [
+      ( "service",
+        canned_registry
+          ~counters:
+            [
+              ("dse_evictions_total", 1);
+              ("dse_requests_total", 5);
+              ("dse_sessions_opened_total", 3);
+            ]
+          ~gauges:[ ("dse_queue_depth", 1.5); ("dse_store_resident", 3.0) ]
+          ~histograms:
+            [
+              ( "dse_request_us{op=\"open\"}",
+                canned_hist ~count:3 ~sum:41.3 ~min:8.5 ~max:33.0 ~buckets:[ (10, 2); (16, 1) ]
+                  () );
+              ( "dse_request_us{op=\"ranges\"}",
+                canned_hist ~count:1 ~sum:77.7 ~min:77.7 ~max:77.7 ~buckets:[ (20, 1) ] () );
+              ( "dse_request_us{op=\"set\"}",
+                canned_hist ~count:4 ~sum:400.25 ~min:50.0 ~max:150.125
+                  ~buckets:[ (18, 2); (23, 2) ] () );
+            ] );
+      ( "engine",
+        canned_registry
+          ~counters:[ ("dse_engine_eliminated_total", 12); ("dse_engine_sweeps_total", 4) ]
+          ~gauges:[]
+          ~histograms:[ ("dse_engine_sweep_us", zero_hist) ] );
+    ]
+
+(* The merged ["registries"] of [shard_a] + [shard_b] and of [shard_a]
+   alone (each followed by an empty router registry), as the JSON-level
+   merge that predates the registry codec produced them: the codec must
+   keep fleet metrics byte-identical. *)
+let golden_merged_registries =
+  String.concat ""
+    [
+      {|{"service":{"counters":{"dse_requests_total":12,"dse_sessions_opened_total":5,|};
+      {|"dse_evictions_total":1},"gauges":{"dse_store_resident":5.0,|};
+      {|"dse_queue_depth":1.5},"histograms":{"dse_request_us{op=\"open\"}":{"count":5,|};
+      {|"sum":72.0,"min":8.5,"max":33.0,"buckets":[0,0,0,0,0,0,0,0,0,0,2,1,0,0,1,0,1,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},|};
+      {|"dse_request_us{op=\"set\"}":{"count":4,"sum":400.25,"min":50.0,"max":150.125,|};
+      {|"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0]},"dse_request_us{op=\"ranges\"}":{"count":1,"sum":77.7,|};
+      {|"min":77.7,"max":77.7,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}},|};
+      {|"engine":{"counters":{"dse_engine_sweeps_total":7,|};
+      {|"dse_engine_eliminated_total":12},"gauges":{},|};
+      {|"histograms":{"dse_engine_sweep_us":{"count":3,"sum":1234.5,"min":100.1,|};
+      {|"max":900.3,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,|};
+      {|0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0]}}},"router":{"counters":{},"gauges":{},|};
+      {|"histograms":{}}}|};
+    ]
+
+let golden_single_registries =
+  String.concat ""
+    [
+      {|{"service":{"counters":{"dse_requests_total":7,"dse_sessions_opened_total":2},|};
+      {|"gauges":{"dse_store_resident":2.0},|};
+      {|"histograms":{"dse_request_us{op=\"open\"}":{"count":2,"sum":30.7,"min":10.25,|};
+      {|"max":20.45,"buckets":[0,0,0,0,0,0,0,0,0,0,0,1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0]},"dse_request_us{op=\"set\"}":{"count":0,"sum":0.0,|};
+      {|"min":0.0,"max":0.0,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}},|};
+      {|"engine":{"counters":{"dse_engine_sweeps_total":3},"gauges":{},|};
+      {|"histograms":{"dse_engine_sweep_us":{"count":3,"sum":1234.5,"min":100.1,|};
+      {|"max":900.3,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,|};
+      {|0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,|};
+      {|0,0,0,0,0,0,0,0,0,0,0,0,0]}}},"router":{"counters":{},"gauges":{},|};
+      {|"histograms":{}}}|};
+    ]
+
+let merge_fields shards =
+  match Router.merge_metrics ~router:(Obs.create_registry ()) shards with
+  | Ok fields -> J.Obj fields
+  | Error msg -> Alcotest.failf "merge failed: %s" msg
+
+let merged_registries shards =
+  match J.member "registries" (merge_fields shards) with
+  | Some r -> J.to_string r
+  | None -> Alcotest.fail "merged metrics without registries"
+
+let test_metrics_merge_golden () =
+  Alcotest.(check string) "two shards" golden_merged_registries
+    (merged_registries [ ("w0", Ok shard_a); ("w1", Ok shard_b) ]);
+  Alcotest.(check string) "one shard" golden_single_registries
+    (merged_registries [ ("w0", Ok shard_a) ]);
+  let m = merge_fields [ ("w0", Ok shard_a); ("w1", Ok shard_b) ] in
+  Alcotest.(check int) "sessions add" 5 (jint "sessions" m);
+  Alcotest.(check (float 0.0)) "oldest uptime" 30.25
+    (Option.value ~default:nan (Option.bind (J.member "uptime_s" m) J.to_float))
+
+let test_registry_codec_roundtrip () =
+  let r = Obs.create_registry () in
+  Obs.add (Obs.counter r "dse_requests_total") 41;
+  Obs.incr (Obs.counter r "dse_evictions_total");
+  Obs.set_gauge (Obs.gauge r "dse_store_resident") 2.5;
+  let h = Obs.histogram r "dse_request_us{op=\"open\"}" in
+  List.iter (Obs.observe h) [ 0.3; 12.75; 480.0; 1e9 ];
+  ignore (Obs.histogram r "dse_request_us{op=\"set\"}");
+  match P.registry_of_json (P.registry_to_json r) with
+  | Error msg -> Alcotest.failf "round trip failed: %s" msg
+  | Ok v ->
+    Alcotest.(check (list (pair string int))) "counters" (Obs.counters r) v.P.counters;
+    Alcotest.(check (list (pair string (float 0.0)))) "gauges" (Obs.gauges r) v.P.gauges;
+    (* structural equality: the empty histogram must come back with
+       infinity/neg_infinity extremes, not the 0.0 the wire carries *)
+    Alcotest.(check bool) "histograms" true (Obs.histograms r = v.P.histograms)
+
+let test_metrics_merge_malformed () =
+  let bad_hist =
+    J.Obj
+      [
+        ("count", J.Int 1);
+        ("sum", J.Float 2.0);
+        ("min", J.Float 2.0);
+        ("max", J.Float 2.0);
+        ("buckets", J.List [ J.Int 0; J.Int 1; J.Int 0 ]);
+      ]
+  in
+  let shard_c =
+    canned_shard ~uptime:99.0 ~sessions:7
+      [
+        ( "service",
+          canned_registry ~counters:[ ("dse_requests_total", 1000) ] ~gauges:[]
+            ~histograms:[ ("dse_request_us{op=\"open\"}", bad_hist) ] );
+      ]
+  in
+  let shards = [ ("w0", Ok shard_a); ("w1", Ok shard_b); ("w2", Ok shard_c) ] in
+  let m = merge_fields shards in
+  (match Option.bind (J.member "shards" m) (J.member "w2") with
+  | Some w2 when J.member "error" w2 <> None -> ()
+  | _ -> Alcotest.fail "undecodable shard not reported as an error");
+  (* the bad shard contributes nothing: not its counters, not its
+     sessions, not a zero-filled histogram *)
+  Alcotest.(check string) "registries exclude the bad shard" golden_merged_registries
+    (merged_registries shards);
+  Alcotest.(check int) "sessions exclude the bad shard" 5 (jint "sessions" m);
+  Alcotest.(check int) "every worker counted" 3 (jint "workers" m);
+  match Router.merge_metrics ~router:(Obs.create_registry ()) [ ("w2", Ok shard_c) ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a fleet of undecodable shards must not answer"
+
 let test_fleet_healthz () =
   with_fleet (fun sup router ->
       let h = expect_ok router P.Healthz in
@@ -537,8 +754,6 @@ let test_router_thin_vs_full () =
    minted (virtual-root) span, children nested by local ids within
    each shard.  DESIGN.md 18. *)
 
-module Obs = Ds_obs.Obs
-
 let test_fleet_trace_assembly () =
   with_fleet (fun _sup router ->
       Obs.set_enabled true;
@@ -737,6 +952,105 @@ let test_fleet_http_plane () =
       in
       wait_recovered ())
 
+(* ------------------------------------------------------------------ *)
+(* Router shutdown drain                                               *)
+
+(* A stand-in worker: answers every request line with [fake_reply]
+   after [!delay] seconds, one thread per connection, until [stop]. *)
+let fake_reply = {|{"ok":true,"fake":true}|}
+
+let fake_worker sock ~delay ~stop =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX sock);
+  Unix.listen fd 16;
+  let serve_conn c =
+    let ic = Unix.in_channel_of_descr c in
+    (try
+       while true do
+         ignore (input_line ic);
+         Thread.delay !delay;
+         let line = fake_reply ^ "\n" in
+         ignore (Unix.write_substring c line 0 (String.length line))
+       done
+     with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
+    try Unix.close c with Unix.Unix_error _ -> ()
+  in
+  let rec accept_loop () =
+    if Atomic.get stop then Unix.close fd
+    else begin
+      (match Unix.select [ fd ] [] [] 0.05 with
+      | [ _ ], _, _ ->
+        let c, _ = Unix.accept fd in
+        ignore (Thread.create serve_conn c)
+      | _ -> ());
+      accept_loop ()
+    end
+  in
+  Thread.create accept_loop ()
+
+let test_router_drain () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = tmpdir "dse_test_drain" in
+  let worker_sock = Filename.concat dir "w0.sock" in
+  let router_sock = Filename.concat dir "router.sock" in
+  let delay = ref 0.0 and stop = Atomic.make false in
+  let worker = fake_worker worker_sock ~delay ~stop in
+  let router = Router.create ~socket:router_sock ~workers:[ ("w0", worker_sock) ] ~slots:2 () in
+  let returned = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        Router.serve router;
+        Atomic.set returned true)
+      ()
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX router_sock);
+    fd
+  in
+  let send fd =
+    let line = {|{"op":"health","session":"s1"}|} ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line))
+  in
+  let wait_until what deadline cond =
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+      Thread.delay 0.01
+    done
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.shutdown router;
+      Atomic.set stop true;
+      Thread.join worker;
+      rm_rf dir)
+    (fun () ->
+      let n = 2_000 in
+      for i = 1 to n do
+        let fd = connect () in
+        send fd;
+        let reply = input_line (Unix.in_channel_of_descr fd) in
+        Unix.close fd;
+        if not (String.equal reply fake_reply) then Alcotest.failf "connection %d got %S" i reply
+      done;
+      wait_until "every connection to be retired" (Unix.gettimeofday () +. 10.0) (fun () ->
+          Router.connections_served router = n);
+      (* a connection mid-request when shutdown lands keeps its reply *)
+      delay := 0.3;
+      let held = connect () in
+      send held;
+      Thread.delay 0.1;
+      let t0 = Unix.gettimeofday () in
+      Router.shutdown router;
+      wait_until "serve to return" (t0 +. 2.0) (fun () -> Atomic.get returned);
+      Thread.join server;
+      Alcotest.(check string) "in-flight reply delivered" fake_reply
+        (input_line (Unix.in_channel_of_descr held));
+      Unix.close held;
+      Alcotest.(check int) "held connection retired too" (n + 1)
+        (Router.connections_served router))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -754,6 +1068,10 @@ let () =
           Alcotest.test_case "routing, minting, colocated branch" `Quick
             test_fleet_routing_and_minting;
           Alcotest.test_case "metrics fan-out merges bucket-wise" `Quick test_fleet_metrics_merge;
+          Alcotest.test_case "metrics merge golden" `Quick test_metrics_merge_golden;
+          Alcotest.test_case "registry codec round trip" `Quick test_registry_codec_roundtrip;
+          Alcotest.test_case "malformed registry is a shard error" `Quick
+            test_metrics_merge_malformed;
           Alcotest.test_case "healthz probes every worker" `Quick test_fleet_healthz;
           Alcotest.test_case "SIGKILL -> retryable error -> journal resume" `Quick
             test_fleet_kill_restart_resume;
@@ -761,5 +1079,6 @@ let () =
             test_router_thin_vs_full;
           Alcotest.test_case "cross-process trace assembly" `Quick test_fleet_trace_assembly;
           Alcotest.test_case "http observability plane" `Quick test_fleet_http_plane;
+          Alcotest.test_case "shutdown drains without a thread list" `Quick test_router_drain;
         ] );
     ]

@@ -1543,6 +1543,59 @@ let test_journal_cloexec () =
     Journal.close j
   end
 
+(* A child spawned while a connection is open must not inherit the
+   connection: the fleet supervisor restarts workers from the process
+   that serves HTTP (and routes), and an inherited copy of a served
+   socket keeps the client from ever seeing EOF. *)
+let test_sockets_close_on_exec () =
+  let gate = Mutex.create () and opened = Condition.create () in
+  let entered = ref false and release = ref false in
+  let routes _ =
+    Mutex.lock gate;
+    entered := true;
+    Condition.broadcast opened;
+    while not !release do
+      Condition.wait opened gate
+    done;
+    Mutex.unlock gate;
+    Some (Ds_serve.Httpd.ok ~content_type:"text/plain" "held\n")
+  in
+  let h =
+    match Ds_serve.Httpd.start ~addr:("127.0.0.1", 0) ~routes () with
+    | Ok h -> h
+    | Error msg -> Alcotest.failf "httpd did not start: %s" msg
+  in
+  Fun.protect ~finally:(fun () -> Ds_serve.Httpd.stop h) @@ fun () ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Ds_serve.Httpd.port h));
+  let req = "GET /hold HTTP/1.1\r\n\r\n" in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  Mutex.lock gate;
+  while not !entered do
+    Condition.wait opened gate
+  done;
+  Mutex.unlock gate;
+  (* the served connection is open in the handler right now *)
+  let child = Unix.create_process "sleep" [| "sleep"; "5" |] Unix.stdin Unix.stdout Unix.stderr in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] child))
+  @@ fun () ->
+  Mutex.lock gate;
+  release := true;
+  Condition.broadcast opened;
+  Mutex.unlock gate;
+  let t0 = Unix.gettimeofday () in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.select [ fd ] [] [] (Float.max 0.0 (t0 +. 2.0 -. Unix.gettimeofday ())) with
+    | [], _, _ -> Alcotest.fail "no EOF while a spawned child is alive: served socket leaked"
+    | _ -> if Unix.read fd chunk 0 (Bytes.length chunk) > 0 then drain ()
+  in
+  drain ()
+
 let test_idle_reap () =
   (* a silent client is reaped after [idle_timeout] and the reap is
      counted — leaked clients cannot pin pool threads forever *)
@@ -1951,6 +2004,35 @@ let test_response_too_large () =
   | P.Reply _ -> Alcotest.fail "durable must surface response_too_large");
   Alcotest.(check int) "never retried" 0 (Ds_serve.Client.Durable.retried d)
 
+(* One resolver serves the server and the fleet router: an explicit
+   depth wins over DSE_PIPELINE_DEPTH, the default is 16, and whichever
+   applies is clamped to 1..1024. *)
+let test_pipeline_depth_resolver () =
+  let depth = Ds_serve.Server.pipeline_depth in
+  let with_env name v f =
+    let saved = Sys.getenv_opt name in
+    Unix.putenv name v;
+    Fun.protect ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:"")) f
+  in
+  if Sys.getenv_opt "DSE_PIPELINE_DEPTH" = None then
+    Alcotest.(check int) "unset" 16 (depth None);
+  Alcotest.(check int) "explicit 0" 1 (depth (Some 0));
+  Alcotest.(check int) "explicit 5000" 1024 (depth (Some 5000));
+  Alcotest.(check int) "explicit 7" 7 (depth (Some 7));
+  with_env "DSE_PIPELINE_DEPTH" "0" (fun () -> Alcotest.(check int) "env 0" 1 (depth None));
+  with_env "DSE_PIPELINE_DEPTH" "5000" (fun () ->
+      Alcotest.(check int) "env 5000" 1024 (depth None));
+  with_env "DSE_PIPELINE_DEPTH" " 32 " (fun () -> Alcotest.(check int) "env 32" 32 (depth None));
+  with_env "DSE_PIPELINE_DEPTH" "deep" (fun () ->
+      Alcotest.(check int) "env garbage" 16 (depth None));
+  with_env "DSE_PIPELINE_DEPTH" "64" (fun () ->
+      Alcotest.(check int) "explicit wins" 4 (depth (Some 4)));
+  let idle = Ds_serve.Server.env_idle_timeout in
+  with_env "DSE_IDLE_TIMEOUT" "2.5" (fun () ->
+      Alcotest.(check (option (float 0.0))) "idle 2.5" (Some 2.5) (idle ()));
+  with_env "DSE_IDLE_TIMEOUT" "0" (fun () ->
+      Alcotest.(check (option (float 0.0))) "idle 0 is off" None (idle ()))
+
 let () =
   Alcotest.run "serve"
     [
@@ -2004,6 +2086,7 @@ let () =
           Alcotest.test_case "oversized request line" `Quick test_request_too_large;
           Alcotest.test_case "client deadline fails fast" `Quick
             test_client_deadline_fails_fast;
+          Alcotest.test_case "sockets are close-on-exec" `Quick test_sockets_close_on_exec;
         ] );
       ( "durability",
         [
@@ -2055,6 +2138,7 @@ let () =
           Alcotest.test_case "batch fault parity" `Quick test_batch_fault_parity;
           Alcotest.test_case "batch abort semantics" `Quick test_batch_abort_semantics;
           Alcotest.test_case "pipelined replies stay FIFO" `Quick test_pipeline_fifo;
+          Alcotest.test_case "pipeline depth resolver" `Quick test_pipeline_depth_resolver;
           Alcotest.test_case "oversized reply bounded client-side" `Quick
             test_response_too_large;
         ] );
