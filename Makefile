@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all test check bench bench-json serve-smoke fleet-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint soak soak-smoke perfbench doc examples clean
+.PHONY: all test check bench bench-json serve-smoke fleet-smoke fd-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint soak soak-smoke perfbench doc examples clean
 
 all:
 	dune build @all
@@ -22,6 +22,7 @@ check:
 	dune exec bench/main.exe -- obs-fleet --json --smoke
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
+	$(MAKE) fd-smoke
 	$(MAKE) soak-smoke
 
 # Span hygiene: every Obs.span_begin must be Fun.protect-closed or
@@ -40,6 +41,13 @@ serve-smoke:
 # after journal resume.
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
+
+# Descriptor limits (DESIGN.md 11.4, 16.2): `dse serve` and the router
+# survive fd exhaustion under `ulimit -n 128`, the router answers 1,100
+# concurrent connections (fds past 1023) under `ulimit -n 2048`, and
+# 10,000 short connections leave thread and fd counts flat.
+fd-smoke:
+	sh scripts/fd_limits.sh
 
 # Crash-recovery soak (DESIGN.md 14): seeded traffic with I/O fault
 # injection, a mid-traffic SIGKILL/restart, then offline verification

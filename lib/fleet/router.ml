@@ -1,23 +1,13 @@
 module Obs = Ds_obs.Obs
 module P = Ds_serve.Protocol
 module Jsonx = Ds_serve.Jsonx
-module Lineio = Ds_serve.Lineio
 
 type t = {
-  socket : string;
-  listen_fd : Unix.file_descr;
+  conn : Ds_serve.Lineserver.t;
   ring : Ring.t;
   backends : (string * Backend.t) list;  (* ring name -> its slot pool *)
   registry : Obs.registry;
-  max_request : int;
-  pipeline_depth : int;
   thin_parse : bool;
-  idle_timeout : float option;
-  stop : bool Atomic.t;
-  lock : Mutex.t;
-  active : (Unix.file_descr, unit) Hashtbl.t;
-  drained : Condition.t;  (* signalled whenever a connection leaves [active] *)
-  mutable served : int;
   counter : int Atomic.t;  (* minted-session-id sequence *)
   pid : int;
   started : float;
@@ -27,36 +17,21 @@ type t = {
   c_unavailable : Obs.counter;
   c_fanouts : Obs.counter;
   c_minted : Obs.counter;
-  c_idle_reaped : Obs.counter;
   c_passthrough : Obs.counter;
 }
 
 let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_depth
     ?(thin_parse = true) ?idle_timeout () =
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd 128;
   let registry = Obs.create_registry () in
-  let idle_timeout =
-    match idle_timeout with Some _ as t -> t | None -> Ds_serve.Server.env_idle_timeout ()
-  in
   {
-    socket;
-    listen_fd;
+    conn =
+      Ds_serve.Lineserver.create ~socket ~backlog:128 ~name:"router" ~registry ~max_request
+        ~pipeline_depth ~idle_timeout;
     ring = Ring.create (List.map fst workers);
     backends =
       List.map (fun (name, sock) -> (name, Backend.create ~slots ~name ~socket:sock ())) workers;
     registry;
-    max_request = Stdlib.max 1024 max_request;
-    pipeline_depth = Ds_serve.Server.pipeline_depth pipeline_depth;
     thin_parse;
-    idle_timeout;
-    stop = Atomic.make false;
-    lock = Mutex.create ();
-    active = Hashtbl.create 64;
-    drained = Condition.create ();
-    served = 0;
     counter = Atomic.make 0;
     pid = Unix.getpid ();
     started = Unix.gettimeofday ();
@@ -66,25 +41,14 @@ let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_
     c_unavailable = Obs.counter registry "dse_router_unavailable_total";
     c_fanouts = Obs.counter registry "dse_router_fanouts_total";
     c_minted = Obs.counter registry "dse_router_sessions_minted_total";
-    c_idle_reaped = Obs.counter registry "dse_serve_idle_reaped_total";
     c_passthrough = Obs.counter registry "dse_router_passthrough_total";
   }
 
 let registry t = t.registry
 
-let shutdown t = Atomic.set t.stop true
-
-let install_signal_handlers t =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let stop_on _ = shutdown t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_on);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on)
-
-let connections_served t =
-  Mutex.lock t.lock;
-  let n = t.served in
-  Mutex.unlock t.lock;
-  n
+let shutdown t = Ds_serve.Lineserver.stop t.conn
+let install_signal_handlers t = Ds_serve.Lineserver.install_signal_handlers t.conn
+let connections_served t = Ds_serve.Lineserver.served t.conn
 
 (* ------------------------------------------------------------------ *)
 (* Forwarding                                                          *)
@@ -665,186 +629,89 @@ let http_routes t path =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* The accept loop                                                     *)
+(* The connection handler                                              *)
 
-let try_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* One connection, pipelined: block for the first request line, then
-   drain whatever else has already arrived (up to [pipeline_depth]
-   lines) without blocking, answer the whole group, and emit every
-   reply in arrival order through one coalesced flush.  Thin-routed
-   lines bound for the same shard ride a single
-   [Backend.round_trip_many] — one slot, one upstream flush — so a
-   deep client pipeline costs one syscall round per shard per drain
-   instead of one per request. *)
-let serve_lines t fd =
-  let reader = Lineio.create ?idle_timeout:t.idle_timeout fd in
-  let out = Buffer.create 4096 in
-  let overflow_reply () =
-    fail P.Request_too_large (Printf.sprintf "request line exceeds %d bytes" t.max_request)
-  in
-  (* answer one drained group; items arrive oldest-first *)
-  let handle_group items =
-    let items = Array.of_list items in
-    let n = Array.length items in
-    let replies = Array.make n None in
-    (* per-line [router.route] spans for trace-carrying thin-routed
-       lines: remote roots, so several may be open on this thread at
-       once (the stack tolerates out-of-LIFO closes) *)
-    let spans = Array.make n None in
-    (* [handle_line] times the full-parse path itself; thin-routed
-       lines are timed here, over the whole drained group *)
-    let thin_timed = Array.make n false in
-    let t0 = Obs.now_us () in
-    (* per-shard coalescing buckets, each kept in arrival order *)
-    let buckets : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
-    let bucket_order = ref [] in
-    Array.iteri
-      (fun idx item ->
-        match item with
-        | `Over -> replies.(idx) <- Some (overflow_reply ())
-        | `Line raw -> (
-          let line = String.trim raw in
-          if String.equal line "" then ()
-          else if Atomic.get t.stop then
-            replies.(idx) <- Some (fail P.Shutting_down "router is shutting down")
-          else
-            match if t.thin_parse then thin_route line else Slow with
-            | Slow -> replies.(idx) <- Some (handle_line t line)
-            | Fast (session, ctx) -> (
-              Obs.incr t.c_requests;
-              Obs.incr t.c_passthrough;
-              thin_timed.(idx) <- true;
-              match Ring.route t.ring session with
-              | None -> replies.(idx) <- Some (fail P.Server_error no_workers_reply)
-              | Some name ->
-                (match ctx with
-                | Some (tid, parent_span) ->
-                  (* detached: the hop span only brackets the forward —
-                     nothing ever nests under it on this thread *)
-                  spans.(idx) <-
-                    Some
-                      (Obs.span_begin_remote ~trace:tid ~parent_span ~detached:true
-                         ~attrs:[ ("path", "thin"); ("shard", name) ] "router.route")
-                  (* obs-lint: closed unconditionally in the reply loop
-                     below; a detached span sits on no stack, so even an
-                     abandoned one cannot corrupt parentage *)
-                | None -> ());
-                (match Hashtbl.find_opt buckets name with
-                | Some cell -> cell := (idx, line) :: !cell
-                | None ->
-                  Hashtbl.add buckets name (ref [ (idx, line) ]);
-                  bucket_order := name :: !bucket_order))))
-      items;
-    List.iter
-      (fun name ->
-        let entries = List.rev !(Hashtbl.find buckets name) in
-        let backend = List.assoc name t.backends in
-        let outcomes =
-          Backend.round_trip_many ~wait_hist:t.upstream_wait backend (List.map snd entries)
-        in
-        List.iter2
-          (fun (idx, _) outcome ->
-            replies.(idx) <-
+(* One drained group, in arrival order.  Thin-routed lines bound for
+   the same shard ride a single [Backend.round_trip_many] — one slot,
+   one upstream flush — so a deep client pipeline costs one syscall
+   round per shard per drain instead of one per request. *)
+let handle_group t out lines =
+  let lines = Array.of_list lines in
+  let n = Array.length lines in
+  let replies = Array.make n "" in
+  (* per-line [router.route] spans for trace-carrying thin-routed
+     lines: remote roots, so several may be open on this thread at
+     once (the stack tolerates out-of-LIFO closes) *)
+  let spans = Array.make n None in
+  (* [handle_line] times the full-parse path itself; thin-routed lines
+     are timed here, over the whole drained group *)
+  let thin_timed = Array.make n false in
+  let t0 = Obs.now_us () in
+  (* per-shard coalescing buckets, each kept in arrival order *)
+  let buckets : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
+  let bucket_order = ref [] in
+  Array.iteri
+    (fun idx line ->
+      match if t.thin_parse then thin_route line else Slow with
+      | Slow -> replies.(idx) <- handle_line t line
+      | Fast (session, ctx) -> (
+        Obs.incr t.c_requests;
+        Obs.incr t.c_passthrough;
+        thin_timed.(idx) <- true;
+        match Ring.route t.ring session with
+        | None -> replies.(idx) <- fail P.Server_error no_workers_reply
+        | Some name ->
+          (match ctx with
+          | Some (tid, parent_span) ->
+            (* detached: the hop span only brackets the forward —
+               nothing ever nests under it on this thread *)
+            spans.(idx) <-
               Some
-                (match outcome with
-                | Backend.Reply reply -> reply
-                | Backend.Down why -> unavailable t name why))
-          entries outcomes)
-      (List.rev !bucket_order);
-    let dt = Obs.now_us () -. t0 in
-    Array.iteri
-      (fun idx r ->
-        (match spans.(idx) with Some sp -> Obs.span_end sp | None -> ());
-        match r with
-        | Some reply ->
-          if thin_timed.(idx) then Obs.observe t.request_hist dt;
-          Buffer.add_string out reply;
-          Buffer.add_char out '\n'
-        | None -> ())
-      replies;
-    if Buffer.length out > 0 then Lineio.flush_buffer fd out
-  in
-  (try
-     let rec loop () =
-       match Lineio.read_line ~limit:t.max_request reader with
-       | Lineio.Eof -> ()
-       | Lineio.Idle -> Obs.incr t.c_idle_reaped
-       | (Lineio.Overflow | Lineio.Line _) as first ->
-         let to_item = function
-           | Lineio.Line l -> `Line l
-           | _ -> `Over
-         in
-         let items = ref [ to_item first ] in
-         let count = ref 1 in
-         let after = ref `More in
-         while !after = `More && !count < t.pipeline_depth do
-           match Lineio.read_line_ready ~limit:t.max_request reader with
-           | None -> after := `Drained
-           | Some Lineio.Eof -> after := `Eof
-           | Some Lineio.Idle -> after := `Idle
-           | Some ((Lineio.Overflow | Lineio.Line _) as r) ->
-             items := to_item r :: !items;
-             incr count
-         done;
-         handle_group (List.rev !items);
-         (match !after with
-         | `Eof -> ()
-         | `Idle -> Obs.incr t.c_idle_reaped
-         | `More | `Drained -> if not (Atomic.get t.stop) then loop ())
-     in
-     loop ()
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ())
-
-(* The exit bookkeeping runs however [serve_lines] ends — an escaping
-   exception included — so the shutdown drain in [serve] never waits on
-   a connection that is gone. *)
-let serve_connection t fd =
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.lock;
-      Hashtbl.remove t.active fd;
-      t.served <- t.served + 1;
-      try_close fd;
-      Condition.broadcast t.drained;
-      Mutex.unlock t.lock)
-    (fun () -> serve_lines t fd)
+                (Obs.span_begin_remote ~trace:tid ~parent_span ~detached:true
+                   ~attrs:[ ("path", "thin"); ("shard", name) ] "router.route")
+            (* obs-lint: closed unconditionally in the reply loop
+               below; a detached span sits on no stack, so even an
+               abandoned one cannot corrupt parentage *)
+          | None -> ());
+          (match Hashtbl.find_opt buckets name with
+          | Some cell -> cell := (idx, line) :: !cell
+          | None ->
+            Hashtbl.add buckets name (ref [ (idx, line) ]);
+            bucket_order := name :: !bucket_order)))
+    lines;
+  List.iter
+    (fun name ->
+      let entries = List.rev !(Hashtbl.find buckets name) in
+      let backend = List.assoc name t.backends in
+      let outcomes =
+        Backend.round_trip_many ~wait_hist:t.upstream_wait backend (List.map snd entries)
+      in
+      List.iter2
+        (fun (idx, _) outcome ->
+          replies.(idx) <-
+            (match outcome with
+            | Backend.Reply reply -> reply
+            | Backend.Down why -> unavailable t name why))
+        entries outcomes)
+    (List.rev !bucket_order);
+  let dt = Obs.now_us () -. t0 in
+  Array.iteri
+    (fun idx reply ->
+      (match spans.(idx) with Some sp -> Obs.span_end sp | None -> ());
+      if thin_timed.(idx) then Obs.observe t.request_hist dt;
+      Buffer.add_string out reply;
+      Buffer.add_char out '\n')
+    replies
 
 let serve t =
   (* a worker SIGKILLed mid-forward must surface as EPIPE on the
      upstream write (-> Down -> session_unavailable), not kill the
      router process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let rec accept_loop () =
-    if Atomic.get t.stop then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.2 with
-      | [ _ ], _, _ -> (
-        match Unix.accept ~cloexec:true t.listen_fd with
-        | fd, _ ->
-          Mutex.lock t.lock;
-          Hashtbl.replace t.active fd ();
-          Mutex.unlock t.lock;
-          (* thread per connection: the router's work per request is a
-             parse and two line copies, so connections are I/O-bound
-             and hundreds of systhreads overlap fine.  Nothing keeps
-             the thread handle: [serve] drains on [active] instead *)
-          ignore (Thread.create (fun () -> serve_connection t fd) ())
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  try_close t.listen_fd;
-  Mutex.lock t.lock;
-  Hashtbl.iter
-    (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.active;
-  while Hashtbl.length t.active > 0 do
-    Condition.wait t.drained t.lock
-  done;
-  Mutex.unlock t.lock;
-  List.iter (fun (_, b) -> Backend.close b) t.backends;
-  try Unix.unlink t.socket with Unix.Unix_error _ -> ()
+  (* thread per connection: the router's work per request is a parse
+     and two line copies, so connections are I/O-bound and hundreds of
+     systhreads overlap fine.  Nothing keeps the thread handle: the
+     engine drains on its connection table instead *)
+  Ds_serve.Lineserver.run t.conn ~spawn:(fun fd ->
+      ignore (Thread.create (Ds_serve.Lineserver.serve_connection t.conn (handle_group t)) fd));
+  List.iter (fun (_, b) -> Backend.close b) t.backends

@@ -39,11 +39,15 @@
     unusual (escapes, missing fields, ops with router-side semantics)
     falls back to the full parse, so the fast path is an optimization,
     never a semantic fork ([dse_router_passthrough_total] counts the
-    hits).  Each connection is pipelined: after blocking for the first
-    request line the router drains whatever else has arrived (up to the
-    pipeline depth), coalesces same-shard forwards into one upstream
-    flush ({!Backend.round_trip_many}), and writes every reply — in
-    arrival order — through a single downstream flush.
+    hits).  Each connection runs the server's pipelined loop
+    ({!Ds_serve.Lineserver.serve_connection}): after blocking for the
+    first request line the router takes whatever else has arrived (up
+    to the pipeline depth), coalesces same-shard forwards into one
+    upstream flush ({!Backend.round_trip_many}), and writes every reply
+    — in arrival order — through a single downstream flush.  The
+    accept loop is the server's too: no [select], so connections on
+    fds past 1023 are served, and fd exhaustion is counted
+    ([dse_accept_errors_total]) and backed off rather than fatal.
 
     The router records its own registry (request latency, upstream
     slot wait, unavailable counts) and injects it into merged [metrics]
@@ -69,7 +73,8 @@ val create :
     already-arrived request lines one drain answers together;
     [thin_parse] (default [true]) enables the pass-through fast path —
     the differential test turns it off to compare both paths.
-    @raise Unix.Unix_error when [socket] cannot be bound. *)
+    @raise Unix.Unix_error when [socket] cannot be bound (the
+    listening socket is closed first). *)
 
 val handle_line : t -> string -> string
 (** Route one request line to one reply line — the testable core (and

@@ -125,41 +125,20 @@ let handle_connection routes fd =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let start ~addr:(host, port) ~routes () =
-  match
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    try
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve host, port));
-      Unix.listen fd 16;
-      Ok fd
-    with e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-  with
+  match Lineserver.listen ~backlog:16 (Unix.ADDR_INET (resolve host, port)) with
   | exception Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot bind http plane to %s:%d: %s" host port (Unix.error_message err))
-  | Error _ as e -> e
-  | Ok fd ->
+  | fd ->
     let port =
       match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
     in
     let t = { fd; port; stop = Atomic.make false; thread = None } in
-    let accept_loop () =
-      while not (Atomic.get t.stop) do
-        match Unix.select [ t.fd ] [] [] 0.2 with
-        | [ _ ], _, _ -> (
-          match Unix.accept ~cloexec:true t.fd with
-          | cfd, _ ->
-            (* a thread per request: requests are tiny, but a stalled
-               scraper must not block the accept loop *)
-            ignore (Thread.create (fun () -> handle_connection routes cfd) ())
-          | exception Unix.Unix_error _ -> ())
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.set t.stop true
-      done
-    in
-    t.thread <- Some (Thread.create accept_loop ());
+    let errors = Ds_obs.Obs.counter Ds_obs.Obs.default "dse_accept_errors_total" in
+    (* a thread per request: requests are tiny, but a stalled scraper
+       must not block the accept loop *)
+    let spawn cfd = ignore (Thread.create (handle_connection routes) cfd) in
+    t.thread <-
+      Some (Thread.create (fun () -> Lineserver.accept_loop ~stop:t.stop ~errors fd spawn) ());
     Ok t
 
 let start_from_env ~routes () =

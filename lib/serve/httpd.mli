@@ -31,7 +31,9 @@ val start :
   routes:(string -> reply option) ->
   unit ->
   (t, string) result
-(** Bind and start the accept loop on a daemon thread.  [routes] maps a
+(** Bind and start the accept loop ({!Lineserver.accept_loop}; failed
+    accepts count in the global registry's [dse_accept_errors_total])
+    on a daemon thread.  [routes] maps a
     request path (query string stripped) to a reply; [None] is a 404.
     Port 0 binds an ephemeral port — read it back with {!port} (how the
     tests avoid fixed-port collisions).  [Error] describes a failed

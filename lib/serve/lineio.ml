@@ -35,21 +35,25 @@ let rec find_nl b i stop =
   else find_nl b (i + 1) stop
 
 (* [block:false] turns the reader into a drain probe: it consumes
-   whatever is already buffered plus whatever a zero-timeout poll says
-   the kernel holds, and answers [None] the moment another byte would
-   require waiting.  The pipelined server/router use it to coalesce the
-   burst a client wrote in one flush without stalling on the next. *)
+   whatever is already buffered plus whatever a non-blocking read finds
+   in the kernel, and answers [None] the moment another byte would
+   require waiting (EAGAIN).  The pipelined connection loop uses it to
+   coalesce the burst a client wrote in one flush without stalling on
+   the next.  No [select]: descriptors above FD_SETSIZE work too. *)
 let read_line_gen ~block ~limit t =
   let take_line () =
     let s = Buffer.contents t.line in
     Buffer.clear t.line;
     Some (Line s)
   in
-  let readable_now () =
-    match Unix.select [ t.fd ] [] [] 0.0 with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  let read_chunk () =
+    if block then Unix.read t.fd t.chunk 0 (Bytes.length t.chunk)
+    else begin
+      Unix.set_nonblock t.fd;
+      Fun.protect
+        ~finally:(fun () -> try Unix.clear_nonblock t.fd with Unix.Unix_error _ -> ())
+        (fun () -> Unix.read t.fd t.chunk 0 (Bytes.length t.chunk))
+    end
   in
   let rec go () =
     if t.start < t.stop then begin
@@ -76,9 +80,8 @@ let read_line_gen ~block ~limit t =
       (* peer closed mid-line: hand the final unterminated line over
          once, then report Eof — same contract as the channel reader *)
       if Buffer.length t.line > 0 && not t.dropping then take_line () else Some Eof
-    else if (not block) && not (readable_now ()) then None
     else begin
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      match read_chunk () with
       | 0 ->
         t.seen_eof <- true;
         go ()

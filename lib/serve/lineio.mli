@@ -6,7 +6,8 @@
     an idle timeout can be pushed down to the kernel ([SO_RCVTIMEO]) —
     a read that times out surfaces as {!Idle} instead of wedging the
     worker.  Both the single-process server and the fleet router read
-    requests through it. *)
+    requests through it, inside {!Lineserver.serve_connection}.  It
+    never calls [select], so descriptors above [FD_SETSIZE] work. *)
 
 type t
 
@@ -30,10 +31,11 @@ val read_line : limit:int -> t -> result
 
 val read_line_ready : limit:int -> t -> result option
 (** Like {!read_line} but never waits: consumes only bytes already
-    buffered or reported readable by a zero-timeout poll, answering
-    [None] the moment more would require blocking.  The pipelined
-    router drains a client's burst with this — one blocking read for
-    the first line, ready-reads for the rest of the flush. *)
+    buffered or returned by a non-blocking read (the descriptor is put
+    in non-blocking mode around that one [read]), answering [None] the
+    moment more would require blocking.  The pipelined connection loop
+    drains a client's burst with this — one blocking read for the
+    first line, ready-reads for the rest of the flush. *)
 
 val flush_buffer : Unix.file_descr -> Buffer.t -> unit
 (** Write the buffer's whole contents to [fd] (looping over short

@@ -1,6 +1,6 @@
 (** The Unix-domain-socket front end of the exploration service.
 
-    Connection model: one listener thread accepts and enqueues
+    Connection model: the {!Lineserver} accept loop enqueues
     connections; a bounded pool of {e worker domains} serves them, one
     connection per worker at a time (connection-per-worker over a
     bounded pool).  A connection is a sequence of request lines, each
@@ -11,14 +11,14 @@
     its worker.  The wait from accept to worker pickup is recorded as
     the server-side queueing delay ([queue_wait] under [stats]).
 
-    Each connection is {e pipelined}: a reader systhread decodes
-    request lines ahead of dispatch into a bounded queue (up to the
-    pipeline depth undispatched), and replies accumulate in a
-    per-connection buffer that is flushed whenever the queue runs
-    momentarily dry — a client keeping N requests in flight gets its
-    burst answered through one coalesced write, while a strict
-    request/reply client keeps the historical one-write-per-reply
-    behaviour.  Replies always leave in request order (FIFO).
+    Each connection is {e pipelined} by {!Lineserver.serve_connection}:
+    the worker blocks for one request line, takes up to the pipeline
+    depth of lines that have already arrived, dispatches them in order
+    and answers the whole group with one coalesced write — a client
+    keeping N requests in flight gets its burst answered together,
+    while a strict request/reply client keeps the historical
+    one-write-per-reply behaviour.  Replies always leave in request
+    order (FIFO).  No connection gets a thread of its own.
 
     Shutdown is graceful: {!shutdown} (typically called from a SIGTERM
     handler — see {!install_signal_handlers}) stops accepting, wakes
@@ -45,23 +45,17 @@ val create :
     the connection staying alive — a malformed client cannot grow an
     unbounded server-side buffer.  [pipeline_depth] (default 16,
     clamped to 1..1024; env [DSE_PIPELINE_DEPTH]) bounds how many
-    requests one connection may have decoded ahead of dispatch — depth
+    already-arrived requests one connection answers together — depth
     1 restores strict request/reply lockstep.  [idle_timeout]
     (seconds; default:
     the [DSE_IDLE_TIMEOUT] environment variable, else off) closes
     connections that send nothing for that long, counting each under
     [dse_serve_idle_reaped_total] in the service registry — leaked
-    clients cannot pin worker fds.
-    @raise Unix.Unix_error when the socket cannot be bound. *)
-
-val env_idle_timeout : unit -> float option
-(** [DSE_IDLE_TIMEOUT] as a positive number of seconds; [None] when it
-    is unset, unparseable or not positive. *)
-
-val pipeline_depth : int option -> int
-(** The per-connection pipeline depth: the explicit value, else
-    [DSE_PIPELINE_DEPTH], else 16 — clamped to 1..1024 (unparseable
-    environment values fall back to 16). *)
+    clients cannot pin worker fds.  Failed accepts (fd exhaustion)
+    count under [dse_accept_errors_total] in the same registry and
+    never stop the server.
+    @raise Unix.Unix_error when the socket cannot be bound (the
+    listening socket is closed first). *)
 
 val serve : t -> unit
 (** Run until {!shutdown}; joins all workers before returning. *)

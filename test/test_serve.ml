@@ -2008,7 +2008,7 @@ let test_response_too_large () =
    depth wins over DSE_PIPELINE_DEPTH, the default is 16, and whichever
    applies is clamped to 1..1024. *)
 let test_pipeline_depth_resolver () =
-  let depth = Ds_serve.Server.pipeline_depth in
+  let depth = Ds_serve.Lineserver.pipeline_depth in
   let with_env name v f =
     let saved = Sys.getenv_opt name in
     Unix.putenv name v;
@@ -2027,11 +2027,49 @@ let test_pipeline_depth_resolver () =
       Alcotest.(check int) "env garbage" 16 (depth None));
   with_env "DSE_PIPELINE_DEPTH" "64" (fun () ->
       Alcotest.(check int) "explicit wins" 4 (depth (Some 4)));
-  let idle = Ds_serve.Server.env_idle_timeout in
+  let idle = Ds_serve.Lineserver.env_idle_timeout in
   with_env "DSE_IDLE_TIMEOUT" "2.5" (fun () ->
       Alcotest.(check (option (float 0.0))) "idle 2.5" (Some 2.5) (idle ()));
   with_env "DSE_IDLE_TIMEOUT" "0" (fun () ->
       Alcotest.(check (option (float 0.0))) "idle 0 is off" None (idle ()))
+
+(* The drain probe is a non-blocking read, not [select]: a descriptor
+   above FD_SETSIZE (1024) drains like any other. *)
+let test_ready_read_high_fd () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let high : Unix.file_descr = Obj.magic 1100 in
+  Unix.dup2 ~cloexec:true a high;
+  Unix.close a;
+  Fun.protect ~finally:(fun () ->
+      Unix.close high;
+      Unix.close b)
+  @@ fun () ->
+  let msg = "first\nsecond\n" in
+  ignore (Unix.write_substring b msg 0 (String.length msg));
+  let reader = Ds_serve.Lineio.create high in
+  let next () =
+    match Ds_serve.Lineio.read_line_ready ~limit:1024 reader with
+    | Some (Ds_serve.Lineio.Line l) -> Some l
+    | Some _ -> Alcotest.fail "expected a line or nothing"
+    | None -> None
+  in
+  Alcotest.(check (option string)) "first" (Some "first") (next ());
+  Alcotest.(check (option string)) "second" (Some "second") (next ());
+  Alcotest.(check (option string)) "drained" None (next ())
+
+(* A socket that cannot be bound must not leave its descriptor behind. *)
+let test_failed_bind_closes_listener () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dse_nobind_%d/missing/server.sock" (Unix.getpid ()))
+  in
+  let svc = service () in
+  let before = open_fds () in
+  (match Ds_serve.Server.create ~socket svc with
+  | _ -> Alcotest.fail "binding under a missing directory must fail"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check int) "no fd leaked" before (open_fds ())
 
 let () =
   Alcotest.run "serve"
@@ -2087,6 +2125,9 @@ let () =
           Alcotest.test_case "client deadline fails fast" `Quick
             test_client_deadline_fails_fast;
           Alcotest.test_case "sockets are close-on-exec" `Quick test_sockets_close_on_exec;
+          Alcotest.test_case "ready reads above FD_SETSIZE" `Quick test_ready_read_high_fd;
+          Alcotest.test_case "failed bind closes the listener" `Quick
+            test_failed_bind_closes_listener;
         ] );
       ( "durability",
         [
