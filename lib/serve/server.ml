@@ -37,10 +37,6 @@ let connections_served t = Lineserver.served t.conn
    [server.connection] span; the per-request [op.*] spans
    {!Service.handle} opens nest under it (same worker domain/thread). *)
 let serve_connection t ~queue_wait_us fd =
-  let sp =
-    Obs.span_begin "server.connection"
-      ~attrs:[ ("queue_wait_us", Printf.sprintf "%.1f" queue_wait_us) ]
-  in
   let requests = ref 0 in
   let handle out lines =
     let t0 = Unix.gettimeofday () in
@@ -51,6 +47,10 @@ let serve_connection t ~queue_wait_us fd =
         Service.handle_line_into ~queue_us t.service out line;
         Buffer.add_char out '\n')
       lines
+  in
+  let sp =
+    Obs.span_begin "server.connection"
+      ~attrs:[ ("queue_wait_us", Printf.sprintf "%.1f" queue_wait_us) ]
   in
   Fun.protect
     ~finally:(fun () -> Obs.span_end sp ~attrs:[ ("requests", string_of_int !requests) ])

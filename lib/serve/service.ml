@@ -185,34 +185,49 @@ let apply_mutation s = function
 
 let ( let* ) = Result.bind
 
-(* Re-apply journal/snapshot entries to [fresh], verifying the recorded
-   candidate signature after every one. *)
-let replay_entries fresh entries =
+(* The one replay fold, behind resume and compaction: decode each item
+   to a request, apply it, sign the result.  The callers differ only in
+   what [signed] does with the signature — check it against the one the
+   journal recorded, or record it — and in how [refused] words a request
+   that no longer applies ([Some msg]) or is not a mutation ([None]). *)
+let replay_fold ~decode ~refused ~signed fresh init items =
   List.fold_left
-    (fun acc (entry : Journal.entry) ->
-      let* s, n = acc in
+    (fun acc item ->
+      let* s, n, st = acc in
       let at = n + 1 in
-      let* req =
-        match P.request_of_json entry.Journal.req with
-        | Ok r -> Ok r
-        | Error msg -> Error (Printf.sprintf "journal entry %d: %s" at msg)
-      in
+      let* req = decode at item in
       let* s' =
         match apply_mutation s req with
         | Some (Ok s') -> Ok s'
-        | Some (Error msg) ->
-          Error (Printf.sprintf "journal entry %d no longer applies: %s" at msg)
-        | None -> Error (Printf.sprintf "journal entry %d is not a mutation" at)
+        | Some (Error msg) -> Error (refused at (Some msg))
+        | None -> Error (refused at None)
       in
-      let got = Session.candidate_signature s' in
-      if String.equal got entry.Journal.signature then Ok (s', at)
-      else
-        Error
-          (Printf.sprintf
-             "replay diverged at entry %d: candidate signature %s, journal recorded %s \
-              (layer definition changed since the journal was written?)"
-             at got entry.Journal.signature))
-    (Ok (fresh, 0)) entries
+      let* st = signed at item req (Session.candidate_signature s') st in
+      Ok (s', at, st))
+    (Ok (fresh, 0, init)) items
+
+(* Re-apply journal/snapshot entries to [fresh], verifying the recorded
+   candidate signature after every one. *)
+let replay_entries fresh entries =
+  let* s, n, () =
+    replay_fold fresh () entries
+      ~decode:(fun at (entry : Journal.entry) ->
+        Result.map_error
+          (Printf.sprintf "journal entry %d: %s" at)
+          (P.request_of_json entry.Journal.req))
+      ~refused:(fun at -> function
+        | Some msg -> Printf.sprintf "journal entry %d no longer applies: %s" at msg
+        | None -> Printf.sprintf "journal entry %d is not a mutation" at)
+      ~signed:(fun at (entry : Journal.entry) _ got () ->
+        if String.equal got entry.Journal.signature then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "replay diverged at entry %d: candidate signature %s, journal recorded %s \
+                (layer definition changed since the journal was written?)"
+               at got entry.Journal.signature))
+  in
+  Ok (s, n)
 
 let rec drop_entries n l =
   if n <= 0 then l else match l with [] -> [] | _ :: rest -> drop_entries (n - 1) rest
@@ -394,21 +409,14 @@ let build_snapshot t ~id ~layer ~eol ~base ~live ~history =
     layer_factory ~layers:t.cfg.layers ~id { Journal.session = id; layer; eol; base = 0 }
   in
   let* fresh = make_fresh () in
-  let reqs = compacted_script ~id live ~history in
-  let* entries_rev, final =
-    List.fold_left
-      (fun acc req ->
-        let* entries, s = acc in
-        let* s' =
-          match apply_mutation s req with
-          | Some (Ok s') -> Ok s'
-          | Some (Error msg) ->
-            Error (Printf.sprintf "compacted script does not replay: %s" msg)
-          | None -> Error "compacted script contains a non-mutation"
-        in
-        let signature = Session.candidate_signature s' in
-        Ok ({ Journal.req = P.json_of_request req; signature } :: entries, s'))
-      (Ok ([], fresh)) reqs
+  let* final, _, entries_rev =
+    replay_fold fresh [] (compacted_script ~id live ~history)
+      ~decode:(fun _ req -> Ok req)
+      ~refused:(fun _ -> function
+        | Some msg -> Printf.sprintf "compacted script does not replay: %s" msg
+        | None -> "compacted script contains a non-mutation")
+      ~signed:(fun _ _ req signature entries ->
+        Ok ({ Journal.req = P.json_of_request req; signature } :: entries))
   in
   let live_sig = Session.candidate_signature live in
   let final_sig = Session.candidate_signature final in
@@ -429,27 +437,34 @@ let build_snapshot t ~id ~layer ~eol ~base ~live ~history =
         snap_entries = List.rev entries_rev;
       }
 
-(* Compact a session whose journal handle is closed (evicted, or never
-   resident): snapshot first, then — only once the snapshot is durable
-   — truncate the journal.  A crash or injected fault between the two
-   leaves a valid snapshot AND the full journal: both lineages replay
-   to the same state. *)
-let compact_files t ~dir ~id ~live =
+(* The one checkpoint step, behind live and evicted compaction: load
+   the journal, skip an empty tail ([skipped]), build the verified
+   snapshot from the effective history and publish it — and only once
+   the snapshot is durable let [swap] truncate the journal to the new
+   base.  A crash or injected fault between the two leaves a valid
+   snapshot AND the full journal: both lineages replay to the same
+   state. *)
+let checkpoint t ~dir ~id ~live ~skipped ~swap =
   let* header, tail = Journal.load ~dir ~id in
   let total = header.Journal.base + List.length tail in
-  if List.length tail = 0 then Ok total (* tail already empty: nothing to gain *)
-  else
+  match tail with
+  | [] -> Ok (skipped total) (* tail already empty: nothing to gain *)
+  | _ :: _ ->
     let* _, history = Journal.load_effective ~dir ~id in
     let* snap =
       build_snapshot t ~id ~layer:header.Journal.layer ~eol:header.Journal.eol ~base:total
         ~live ~history
     in
     let* () = Journal.write_snapshot ~dir snap in
-    let* j =
-      Journal.rewrite ~sync:t.cfg.journal_sync ~dir { header with Journal.base = total } []
-    in
-    Journal.close j;
-    Ok total
+    swap total { header with Journal.base = total }
+
+(* Compact a session whose journal handle is closed (evicted, or never
+   resident): the truncated journal is written and closed again. *)
+let compact_files t ~dir ~id ~live =
+  checkpoint t ~dir ~id ~live ~skipped:Fun.id ~swap:(fun total header ->
+      let* j = Journal.rewrite ~sync:t.cfg.journal_sync ~dir header [] in
+      Journal.close j;
+      Ok total)
 
 (* Compact a resident session under its held mutation: swap the live
    journal handle for the rewritten one.  On rewrite failure the old
@@ -457,47 +472,42 @@ let compact_files t ~dir ~id ~live =
    session (degrade to resume: the files on disk are complete). *)
 let compact_live t ~dir m (entry : Store.entry) ~id j =
   let* () = Journal.sync_all j in
-  let* header, tail = Journal.load ~dir ~id in
-  let total = header.Journal.base + List.length tail in
-  if List.length tail = 0 then Ok (total, entry)
-  else
-    let* _, history = Journal.load_effective ~dir ~id in
-    let* snap =
-      build_snapshot t ~id ~layer:header.Journal.layer ~eol:header.Journal.eol ~base:total
-        ~live:entry.Store.session ~history
-    in
-    let* () = Journal.write_snapshot ~dir snap in
-    Journal.close j;
-    match Journal.rewrite ~sync:t.cfg.journal_sync ~dir { header with Journal.base = total } [] with
-    | Ok j' ->
-      let entry' = { entry with Store.journal = Some j' } in
-      Store.commit_mutation m entry';
-      Ok (total, entry')
-    | Error msg -> (
-      match Journal.open_append ~sync:t.cfg.journal_sync ~dir ~id () with
-      | Ok j'' ->
-        Store.commit_mutation m { entry with Store.journal = Some j'' };
-        Error msg
-      | Error msg2 ->
-        Store.remove_locked m;
-        Error
-          (Printf.sprintf "%s; %s; session %S closed, re-open with resume" msg msg2 id))
+  checkpoint t ~dir ~id ~live:entry.Store.session
+    ~skipped:(fun total -> (total, entry))
+    ~swap:(fun total header ->
+      Journal.close j;
+      match Journal.rewrite ~sync:t.cfg.journal_sync ~dir header [] with
+      | Ok j' ->
+        let entry' = { entry with Store.journal = Some j' } in
+        Store.commit_mutation m entry';
+        Ok (total, entry')
+      | Error msg -> (
+        match Journal.open_append ~sync:t.cfg.journal_sync ~dir ~id () with
+        | Ok j'' ->
+          Store.commit_mutation m { entry with Store.journal = Some j'' };
+          Error msg
+        | Error msg2 ->
+          Store.remove_locked m;
+          Error
+            (Printf.sprintf "%s; %s; session %S closed, re-open with resume" msg msg2 id)))
 
-(* Evicted sessions leave resident memory but not the service: their
-   journal (handle already closed by the store) is compacted to a
-   checkpoint so the inevitable rehydration replays a short script, not
-   the whole history.  Failure is harmless — the journal is untouched
-   and rehydration falls back to replaying it. *)
-let compact_evicted t evicted =
+(* Admission: put a session in the store.  Whatever the LRU pushes out
+   to make room leaves resident memory but not the service: its journal
+   (handle already closed by the store) is compacted to a checkpoint so
+   the inevitable rehydration replays a short script, not the whole
+   history.  Failure is harmless — the journal is untouched and
+   rehydration falls back to replaying it. *)
+let admit t id entry =
+  let evicted = Store.put t.store id entry in
   match t.cfg.journal_dir with
   | None -> ()
   | Some dir ->
     List.iter
-      (fun (id, (e : Store.entry)) ->
+      (fun (out_id, (e : Store.entry)) ->
         match e.Store.journal with
         | None -> ()
         | Some _ -> (
-          match compact_files t ~dir ~id ~live:e.Store.session with
+          match compact_files t ~dir ~id:out_id ~live:e.Store.session with
           | Ok _ -> Obs.incr t.c_compactions
           | Error _ -> Obs.incr t.c_compaction_failures))
       evicted
@@ -542,17 +552,14 @@ let rehydrate t sid =
               match Journal.open_append ~sync:t.cfg.journal_sync ~dir ~id:sid () with
               | Error msg -> `Failed msg
               | Ok j ->
-                let evicted =
-                  Store.put t.store sid
-                    {
-                      Store.session = info.r_session;
-                      layer = info.r_layer;
-                      eol = info.r_eol;
-                      journal = Some j;
-                    }
-                in
+                admit t sid
+                  {
+                    Store.session = info.r_session;
+                    layer = info.r_layer;
+                    eol = info.r_eol;
+                    journal = Some j;
+                  };
                 Obs.incr t.c_rehydrations;
-                compact_evicted t evicted;
                 `Ok))
 
 (* Read-only ops: a plain lookup, no lock held while the reply is
@@ -605,98 +612,6 @@ let timed add f =
   let r = f () in
   add (Obs.now_us () -. t0);
   r
-
-(* Mutations serialize per session id (the store's slot lock), not
-   globally.  Write-ahead order: the journal line is appended (and
-   flushed to the kernel) before the new state is committed and before
-   any reply leaves; a failed append fails the request with the state
-   unchanged.  In sync mode the fsync happens {e after} the slot lock
-   is released — the reply still waits for durability, but the next
-   mutation of the same session (and every other session) overlaps the
-   disk flush, group-committed by {!Journal.sync_to}.
-
-   A {e failed} fsync is the one case where "failed request, state
-   unchanged" cannot hold: the mutation is already committed and
-   visible.  Rather than acknowledge in-memory state whose durability
-   is unknown (a retry would double-apply the mutation), the session is
-   evicted from the store: the error reply tells the client to re-open
-   (or simply touch the session again — rehydration), which replays
-   exactly what actually reached disk.
-
-   When [compact_after] is configured and the journal tail has grown
-   past it, the mutation also triggers compaction while the slot is
-   still held (after [sync_all], so acknowledged durability is never
-   weakened by the handle swap).  Compaction failure never fails the
-   mutation — the reply reports the applied state; the journal simply
-   stays long. *)
-let mutate t ph sid req apply =
-  match
-    timed (fun d -> ph.ph_lock <- ph.ph_lock +. d) (fun () -> begin_mutation_rehydrating t sid)
-  with
-  | `Missing -> unknown_session sid
-  | `Error msg -> P.Failed (P.Journal_error, msg)
-  | `Begun (m, entry) ->
-    let sync_after = ref None in
-    let response =
-      match
-        match
-          timed
-            (fun d -> ph.ph_sweep <- ph.ph_sweep +. d)
-            (fun () -> apply entry.Store.session)
-        with
-        | Error msg -> P.Failed (P.Rejected, msg)
-        | Ok s' -> (
-          let signature = Session.candidate_signature s' in
-          let journaled =
-            match entry.Store.journal with
-            | None -> Ok None
-            | Some j ->
-              timed
-                (fun d -> ph.ph_journal <- ph.ph_journal +. d)
-                (fun () ->
-                  Result.map
-                    (fun seq -> Some (j, seq))
-                    (Journal.append j ~req:(P.json_of_request req) ~signature))
-          in
-          match journaled with
-          | Error msg -> P.Failed (P.Journal_error, msg)
-          | Ok jseq ->
-            let entry' = { entry with Store.session = s' } in
-            Store.commit_mutation m entry';
-            sync_after := jseq;
-            (match (t.cfg.journal_dir, t.cfg.compact_after, jseq) with
-            | Some dir, Some threshold, Some (j, _) when Journal.entry_count j >= threshold -> (
-              match compact_live t ~dir m entry' ~id:sid j with
-              | Ok _ ->
-                Obs.incr t.c_compactions;
-                (* the handle [sync_to] would target is gone; the
-                   snapshot + rewritten journal are already durable *)
-                sync_after := None
-              | Error _ -> Obs.incr t.c_compaction_failures)
-            | _ -> ());
-            P.Reply (session_summary sid s' @ [ ("signature", Jsonx.Str signature) ]))
-      with
-      | r -> r
-      | exception e ->
-        Store.end_mutation m;
-        raise e
-    in
-    Store.end_mutation m;
-    (match !sync_after with
-    | None -> response
-    | Some (j, seq) -> (
-      match
-        timed (fun d -> ph.ph_fsync <- ph.ph_fsync +. d) (fun () -> Journal.sync_to j seq)
-      with
-      | Ok () -> response
-      | Error msg ->
-        Store.remove t.store sid;
-        P.Failed
-          (P.Journal_error,
-           Printf.sprintf
-             "%s; durability unknown — session %S closed, re-open with resume (do not retry \
-              the mutation blindly: it may already be journaled)"
-             msg sid)))
 
 let handle_compact t sid =
   match t.cfg.journal_dir with
@@ -760,16 +675,13 @@ let handle_open t ~session ~layer ~eol ~resume:resume_flag =
           match Journal.open_append ~sync:t.cfg.journal_sync ~dir ~id () with
           | Error msg -> P.Failed (P.Journal_error, msg)
           | Ok j ->
-            let evicted =
-              Store.put t.store id
-                {
-                  Store.session = info.r_session;
-                  layer = info.r_layer;
-                  eol = info.r_eol;
-                  journal = Some j;
-                }
-            in
-            compact_evicted t evicted;
+            admit t id
+              {
+                Store.session = info.r_session;
+                layer = info.r_layer;
+                eol = info.r_eol;
+                journal = Some j;
+              };
             P.Reply
               (session_summary id info.r_session
               @ [
@@ -809,8 +721,7 @@ let handle_open t ~session ~layer ~eol ~resume:resume_flag =
       match journal with
       | Error msg -> P.Failed (P.Journal_error, msg)
       | Ok journal ->
-        let evicted = Store.put t.store id { Store.session = s; layer; eol; journal } in
-        compact_evicted t evicted;
+        admit t id { Store.session = s; layer; eol; journal };
         P.Reply
           (session_summary id s @ [ ("layer", Jsonx.Str layer); ("eol", Jsonx.Int eol) ])))
 
@@ -853,8 +764,7 @@ let handle_branch t sid as_id =
         | Error msg -> P.Failed (P.Journal_error, msg)
         | Ok journal ->
           (* sessions are immutable: the branch shares the value, O(1) *)
-          let evicted = Store.put t.store nid { entry with Store.journal = journal } in
-          compact_evicted t evicted;
+          admit t nid { entry with Store.journal = journal };
           P.Reply (session_summary nid entry.Store.session @ [ ("from", Jsonx.Str sid) ])))
 
 let merits_or_default t = function
@@ -940,7 +850,7 @@ let response_attrs = function
 
 (* The session-scoped read-only queries, factored over an explicit
    session value: [dispatch] evaluates them against the store entry,
-   [handle_batch] against the in-progress value mid-batch (so a read
+   [run_steps] against the in-progress value mid-batch (so a read
    between two batched mutations observes the first one applied). *)
 let read_reply t sid s (req : P.request) =
   match req with
@@ -1074,108 +984,101 @@ let read_reply t sid s (req : P.request) =
   | P.Branch _ | P.Compact _ | P.Close _ | P.Stats | P.Metrics _ | P.Healthz | P.Batch _ ->
     P.Failed (P.Server_error, "not a session read")
 
-(* A batch holds the session slot once, applies each sub-request against
-   the in-progress value, journals every successful mutation as its own
-   ordinary entry (replay is byte-identical to the equivalent sequential
-   op sequence), and fsyncs once at the end ({!Journal.sync_to} to the
-   last appended seq — one group-commit for the whole batch).
+(* A set of a non-finite real would journal as null and poison every
+   later resume.  Requests off the wire are screened by the decoder;
+   the shell and library callers build requests directly. *)
+let non_finite = function
+  | P.Set { name; value = Value.Real f; _ } when not (Float.is_finite f) ->
+    Some (P.Failed (P.Bad_request, Printf.sprintf "non-finite value for %S is not accepted" name))
+  | _ -> None
 
-   Abort discipline: the first {e mutation} failure (layer rejection or
-   journal append error) stops execution — its failure reply is the last
-   element of [results] and its index is reported as [batch_aborted_at];
-   the remaining sub-requests are not executed.  Read failures never
-   abort.  A failed group fsync follows {!mutate}'s evict-and-resume
-   path for the whole batch, since which appended entries reached disk
-   is unknown. *)
-let handle_batch t ph sid reqs =
+(* The mutation engine.  A single set/decide/default/retract/annotate
+   is a one-step run; a batch is a run of its sub-requests.  A run holds
+   the session's slot lock once (mutations serialize per session id,
+   not globally), applies each step against the in-progress value (so a
+   read between two mutations observes the first), and journals every
+   successful mutation as its own ordinary entry — a batch's journal is
+   byte-identical to the equivalent sequential op sequence.
+
+   Write-ahead order: a step's journal line is appended (and flushed to
+   the kernel) before the new state is committed and before any reply
+   leaves; a failed append fails the step with the state unchanged.
+   The first {e mutation} failure (screen, layer rejection, journal
+   append) aborts the run: its reply is the last result and its index
+   the abort index.  Read failures never abort.
+
+   When [compact_after] is configured and the journal tail has grown
+   past it, the run also compacts while the slot is still held (after
+   [sync_all], so acknowledged durability is never weakened by the
+   handle swap).  Compaction failure never fails the run — the replies
+   report the applied state; the journal simply stays long.
+
+   In sync mode the fsync happens {e after} the slot lock is released,
+   once per run (a group commit to the last appended seq): the reply
+   still waits for durability, but the next run on the same session
+   (and every other session) overlaps the disk flush.  A
+   {e failed} fsync is the one case where "failed request, state
+   unchanged" cannot hold: the run is already committed and visible.
+   Rather than acknowledge in-memory state whose durability is unknown
+   (a retry would double-apply), the session is evicted and the error
+   ([retry_hint] names what not to retry) sends the client to re-open —
+   or simply touch the session again: rehydration replays exactly what
+   reached disk.
+
+   [around] wraps each step: identity for a single mutation (whose
+   span and latency record belong to [handle]), a per-step span and
+   latency record for a batch. *)
+let run_steps t ph sid ~around ~retry_hint reqs =
   match
     timed (fun d -> ph.ph_lock <- ph.ph_lock +. d) (fun () -> begin_mutation_rehydrating t sid)
   with
-  | `Missing -> unknown_session sid
-  | `Error msg -> P.Failed (P.Journal_error, msg)
-  | `Begun (m, entry0) ->
+  | `Missing -> Error (unknown_session sid)
+  | `Error msg -> Error (P.Failed (P.Journal_error, msg))
+  | `Begun (m, entry0) -> (
+    let cur = ref entry0 in
+    let mutated = ref false in
     let sync_after = ref None in
-    let response =
-      match
-        let cur = ref entry0 in
-        let mutated = ref false in
-        let results = ref [] in
-        let aborted = ref None in
-        let idx = ref 0 in
-        let rec run = function
-          | [] -> ()
-          | req :: rest -> (
-            let t0 = Obs.now_us () in
-            (* each sub-request is its own span, an implicit child of
-               the batch's op span — which carries the propagated trace
-               context, so batched mutations show up individually in a
-               fleet-assembled tree *)
-            let sub_sp = Obs.span_begin ("op." ^ op_name req) ~attrs:(req_attrs req) in
-            let sub =
-              Fun.protect
-                ~finally:(fun () -> Obs.span_end sub_sp)
+    let sweep f = timed (fun d -> ph.ph_sweep <- ph.ph_sweep +. d) f in
+    let step req =
+      match non_finite req with
+      | Some refused -> `Abort refused
+      | None -> (
+        match sweep (fun () -> apply_mutation !cur.Store.session req) with
+        | Some (Error msg) -> `Abort (P.Failed (P.Rejected, msg))
+        | Some (Ok s') -> (
+          let signature = Session.candidate_signature s' in
+          let journaled =
+            match !cur.Store.journal with
+            | None -> Ok None
+            | Some j ->
+              timed
+                (fun d -> ph.ph_journal <- ph.ph_journal +. d)
                 (fun () ->
-                  let sub =
-                    match req with
-                    | P.Set { name; value = Value.Real f; _ } when not (Float.is_finite f) ->
-                      (* same screen as [dispatch]: a non-finite real would
-                         journal as null and poison every later resume *)
-                      `Abort
-                        (P.Failed
-                           (P.Bad_request,
-                            Printf.sprintf "non-finite value for %S is not accepted" name))
-                    | _ -> (
-                      match
-                        timed
-                          (fun d -> ph.ph_sweep <- ph.ph_sweep +. d)
-                          (fun () -> apply_mutation !cur.Store.session req)
-                      with
-                      | Some (Error msg) -> `Abort (P.Failed (P.Rejected, msg))
-                      | Some (Ok s') -> (
-                        let signature = Session.candidate_signature s' in
-                        let journaled =
-                          match !cur.Store.journal with
-                          | None -> Ok None
-                          | Some j ->
-                            timed
-                              (fun d -> ph.ph_journal <- ph.ph_journal +. d)
-                              (fun () ->
-                                Result.map
-                                  (fun seq -> Some (j, seq))
-                                  (Journal.append j ~req:(P.json_of_request req) ~signature))
-                        in
-                        match journaled with
-                        | Error msg -> `Abort (P.Failed (P.Journal_error, msg))
-                        | Ok jseq ->
-                          cur := { !cur with Store.session = s' };
-                          mutated := true;
-                          (match jseq with Some _ -> sync_after := jseq | None -> ());
-                          `Ok
-                            (P.Reply
-                               (session_summary sid s' @ [ ("signature", Jsonx.Str signature) ])))
-                      | None -> (
-                        try
-                          `Ok
-                            (timed
-                               (fun d -> ph.ph_sweep <- ph.ph_sweep +. d)
-                               (fun () -> read_reply t sid !cur.Store.session req))
-                        with e -> `Ok (P.Failed (P.Server_error, Printexc.to_string e))))
-                  in
-                  (match sub with
-                  | `Ok r | `Abort r -> Obs.span_add sub_sp (response_attrs r));
-                  sub)
-            in
-            record t (op_name req) (Obs.now_us () -. t0);
-            match sub with
-            | `Ok r ->
-              results := r :: !results;
-              incr idx;
-              run rest
-            | `Abort r ->
-              results := r :: !results;
-              aborted := Some !idx)
-        in
-        run reqs;
+                  Result.map
+                    (fun seq -> Some (j, seq))
+                    (Journal.append j ~req:(P.json_of_request req) ~signature))
+          in
+          match journaled with
+          | Error msg -> `Abort (P.Failed (P.Journal_error, msg))
+          | Ok jseq ->
+            cur := { !cur with Store.session = s' };
+            mutated := true;
+            if Option.is_some jseq then sync_after := jseq;
+            `Ok (P.Reply (session_summary sid s' @ [ ("signature", Jsonx.Str signature) ])))
+        | None -> (
+          try `Ok (sweep (fun () -> read_reply t sid !cur.Store.session req))
+          with e -> `Ok (P.Failed (P.Server_error, Printexc.to_string e))))
+    in
+    let rec run i acc = function
+      | [] -> (List.rev acc, None)
+      | req :: rest -> (
+        match around req (fun () -> step req) with
+        | `Ok r -> run (i + 1) (r :: acc) rest
+        | `Abort r -> (List.rev (r :: acc), Some i))
+    in
+    let outcome =
+      match
+        let outcome = run 0 [] reqs in
         if !mutated then Store.commit_mutation m !cur;
         (match (t.cfg.journal_dir, t.cfg.compact_after, !sync_after) with
         | Some dir, Some threshold, Some (j, _) when Journal.entry_count j >= threshold -> (
@@ -1187,35 +1090,77 @@ let handle_batch t ph sid reqs =
             sync_after := None
           | Error _ -> Obs.incr t.c_compaction_failures)
         | _ -> ());
-        P.Reply
-          (( "session", Jsonx.Str sid )
-          :: ("results", Jsonx.List (List.rev_map P.json_of_response !results))
-          ::
-          (match !aborted with
-          | Some i -> [ ("batch_aborted_at", Jsonx.Int i) ]
-          | None -> []))
+        outcome
       with
-      | r -> r
+      | outcome -> outcome
       | exception e ->
         Store.end_mutation m;
         raise e
     in
     Store.end_mutation m;
-    (match !sync_after with
-    | None -> response
+    match !sync_after with
+    | None -> Ok outcome
     | Some (j, seq) -> (
       match
         timed (fun d -> ph.ph_fsync <- ph.ph_fsync +. d) (fun () -> Journal.sync_to j seq)
       with
-      | Ok () -> response
+      | Ok () -> Ok outcome
       | Error msg ->
         Store.remove t.store sid;
-        P.Failed
-          (P.Journal_error,
-           Printf.sprintf
-             "%s; durability unknown — session %S closed, re-open with resume (do not retry \
-              the batch blindly: its mutations may already be journaled)"
-             msg sid)))
+        Error
+          (P.Failed
+             (P.Journal_error,
+              Printf.sprintf
+                "%s; durability unknown — session %S closed, re-open with resume (%s)" msg sid
+                retry_hint))))
+
+(* A lone mutation is screened before its slot is taken (a non-finite
+   value is a bad request whether or not the session exists), then runs
+   as one step; its reply is that step's, unwrapped. *)
+let handle_mutation t ph sid req =
+  match non_finite req with
+  | Some refused -> refused
+  | None -> (
+    match
+      run_steps t ph sid [ req ]
+        ~around:(fun _ step -> step ())
+        ~retry_hint:"do not retry the mutation blindly: it may already be journaled"
+    with
+    | Ok ([ r ], _) | Error r -> r
+    | Ok _ -> assert false (* one step, one result *))
+
+(* A batch is the same run with each step its own span — an implicit
+   child of the batch's op span, which carries the propagated trace
+   context, so batched mutations show up individually in a
+   fleet-assembled tree — and its own per-op latency record.  The reply
+   lists every executed step's reply, plus the abort index if a
+   mutation failed. *)
+let handle_batch t ph sid reqs =
+  let around req step =
+    let t0 = Obs.now_us () in
+    let sub_sp = Obs.span_begin ("op." ^ op_name req) ~attrs:(req_attrs req) in
+    let sub =
+      Fun.protect
+        ~finally:(fun () -> Obs.span_end sub_sp)
+        (fun () ->
+          let sub = step () in
+          (match sub with `Ok r | `Abort r -> Obs.span_add sub_sp (response_attrs r));
+          sub)
+    in
+    record t (op_name req) (Obs.now_us () -. t0);
+    sub
+  in
+  match
+    run_steps t ph sid reqs ~around
+      ~retry_hint:"do not retry the batch blindly: its mutations may already be journaled"
+  with
+  | Error r -> r
+  | Ok (results, aborted) ->
+    P.Reply
+      (( "session", Jsonx.Str sid )
+      :: ("results", Jsonx.List (List.map P.json_of_response results))
+      ::
+      (match aborted with Some i -> [ ("batch_aborted_at", Jsonx.Int i) ] | None -> []))
 
 let dispatch t ph req =
   let timed_read session entry =
@@ -1225,18 +1170,11 @@ let dispatch t ph req =
   in
   match req with
   | P.Open { session; layer; eol; resume } -> handle_open t ~session ~layer ~eol ~resume
-  | P.Set { session; name; value; _ } -> (
-    match value with
-    | Value.Real f when not (Float.is_finite f) ->
-      (* requests arriving off the wire are already screened, but the
-         shell builds requests directly; a non-finite real would journal
-         as null and poison every later resume *)
-      P.Failed (P.Bad_request, Printf.sprintf "non-finite value for %S is not accepted" name)
-    | _ -> mutate t ph session req (fun s -> Session.set s name value))
-  | P.Default { session; name } -> mutate t ph session req (fun s -> Session.set_default s name)
-  | P.Retract { session; name } -> mutate t ph session req (fun s -> Session.retract s name)
-  | P.Annotate { session; text } ->
-    mutate t ph session req (fun s -> Ok (Session.annotate s text))
+  | P.Set { session; _ }
+  | P.Default { session; _ }
+  | P.Retract { session; _ }
+  | P.Annotate { session; _ } ->
+    handle_mutation t ph session req
   | P.Candidates { session; _ }
   | P.Ranges { session; _ }
   | P.Issues { session }

@@ -115,8 +115,8 @@ val handle_line_into : ?queue_us:float -> t -> Buffer.t -> string -> unit
     server appends each reply to its per-connection coalescing buffer
     without an intermediate string.  Extracts the line's ["trace"]
     member (if any) and times the reply print as the request's flush
-    phase; [queue_us] is the per-line queue wait measured by the
-    server's reader/worker handoff. *)
+    phase; [queue_us] is the line's wait behind the earlier lines of
+    the group the server drained with it (see {!Server}). *)
 
 val session_count : t -> int
 

@@ -351,16 +351,28 @@ let test_service_branch () =
   Alcotest.(check bool) "branches diverged" false (String.equal (sig_of "a") (sig_of "b"))
 
 (* The shell constructs requests directly (no wire screening), so the
-   service itself must refuse values the journal cannot represent. *)
+   service itself must refuse values the journal cannot represent —
+   before the slot is taken, so even for a session that does not exist,
+   and without touching the journal. *)
 let test_non_finite_values_refused () =
-  let svc = service () in
+  let dir = tmpdir "dse_nonfinite" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let svc = service ~journal_dir:dir () in
   ignore (reply (Service.handle svc (open_req ~session:"t" ())));
+  let journal () = In_channel.with_open_bin (Journal.path ~dir ~id:"t") In_channel.input_all in
+  let before = journal () in
   List.iter
     (fun f ->
       failed P.Bad_request
         (Service.handle svc
            (P.Set { session = "t"; name = issue; value = Value.real f; decide = false })))
-    [ Float.nan; Float.infinity; Float.neg_infinity ]
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun (session, decide) ->
+      failed P.Bad_request
+        (Service.handle svc (P.Set { session; name = issue; value = Value.real Float.nan; decide })))
+    [ ("t", true); ("no-such-session", false) ];
+  Alcotest.(check string) "journal unchanged" before (journal ())
 
 let test_handle_line_never_raises () =
   let svc = service () in
@@ -1106,7 +1118,28 @@ let test_auto_compaction () =
   let resumed = reply (Service.handle svc2 (open_req ~session:"cs" ~layer:"" ~resume:true ())) in
   Alcotest.(check bool) "snapshot fast path" true (jbool "snapshot" resumed);
   Alcotest.(check int) "only the post-threshold tail replayed" 1 (jint "tail_replayed" resumed);
-  Alcotest.(check string) "state preserved" sig_live (jstr "signature" resumed)
+  Alcotest.(check string) "state preserved" sig_live (jstr "signature" resumed);
+  (* the same script as one batch: the threshold check runs once, after
+     the batch's last step, so the checkpoint covers every entry *)
+  let dir_b = tmpdir "dse_autocompact_batch" in
+  Fun.protect ~finally:(fun () -> rm_rf dir_b) @@ fun () ->
+  let svc_b = crypto_service_ext ~compact_after:4 dir_b in
+  ignore (reply (Service.handle svc_b (open_req ~session:"cs" ~layer:"crypto" ~eol:768 ())));
+  let batch = reply (Service.handle svc_b (ok (P.batch_of_requests (crypto_script "cs")))) in
+  if List.mem_assoc "batch_aborted_at" batch then Alcotest.fail "the crypto script batch aborted";
+  Alcotest.(check int) "the batch compacted once" 1
+    (service_counter svc_b "dse_compactions_total");
+  Alcotest.(check bool) "batch snapshot on disk" true (Journal.snapshot_exists ~dir:dir_b ~id:"cs");
+  let sig_batch =
+    jstr "signature" (reply (Service.handle svc_b (P.Signature { session = "cs" })))
+  in
+  Alcotest.(check string) "batch and sequential runs agree" sig_live sig_batch;
+  let resumed_b =
+    reply (Service.handle (crypto_service dir_b) (open_req ~session:"cs" ~layer:"" ~resume:true ()))
+  in
+  Alcotest.(check bool) "batch snapshot fast path" true (jbool "snapshot" resumed_b);
+  Alcotest.(check int) "no tail past the batch checkpoint" 0 (jint "tail_replayed" resumed_b);
+  Alcotest.(check string) "batch state preserved" sig_batch (jstr "signature" resumed_b)
 
 (* Crash between publishing the snapshot and truncating the journal:
    both lineages are on disk (full history AND a checkpoint subsuming
@@ -1762,6 +1795,19 @@ let test_batch_vs_sequential () =
     Alcotest.fail "a fully successful batch must not carry an abort index";
   let sig_of svc = jstr "signature" (reply (Service.handle svc (P.Signature { session = "cs" }))) in
   Alcotest.(check string) "identical live state" (sig_of svc_seq) (sig_of svc_bat);
+  (* every executed step records its op's latency exactly once, batched
+     or not *)
+  let op_count svc op =
+    match List.assoc_opt (Printf.sprintf "dse_request_us{op=%S}" op)
+            (Ds_obs.Obs.histograms (Service.registry svc)) with
+    | Some h -> h.Ds_obs.Obs.h_count
+    | None -> Alcotest.failf "no latency histogram for op %s" op
+  in
+  List.iter
+    (fun (op, want) ->
+      Alcotest.(check int) (op ^ " latency count, sequential") want (op_count svc_seq op);
+      Alcotest.(check int) (op ^ " latency count, batched") want (op_count svc_bat op))
+    [ ("set", 2); ("decide", 2) ];
   (* batch journals the individual mutation records: same bytes on disk *)
   Alcotest.(check string) "byte-identical journals"
     (read_file (Journal.path ~dir:dir_seq ~id:"cs"))
