@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all test check bench bench-json serve-smoke fleet-smoke fd-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint soak soak-smoke perfbench doc examples clean
+.PHONY: all test check bench bench-json serve-smoke fleet-smoke fd-smoke bench-serve bench-obs bench-obs-fleet bench-sweep bench-fleet bench-compare obs-lint net-lines soak soak-smoke perfbench doc examples clean
 
 all:
 	dune build @all
@@ -24,6 +24,11 @@ check:
 	$(MAKE) fleet-smoke
 	$(MAKE) fd-smoke
 	$(MAKE) soak-smoke
+
+# Added/removed/net lines of .ml/.mli under lib/ and bin/ against BASE
+# (default: the parent commit of the change; scripts/net_lines.sh).
+net-lines:
+	@sh scripts/net_lines.sh $(BASE)
 
 # Span hygiene: every Obs.span_begin must be Fun.protect-closed or
 # carry an explicit waiver (scripts/obs_lint.sh).

@@ -96,6 +96,10 @@ let iter_true f t =
     done
   done
 
+(* [iter_true] reads each word before visiting its bits, so clearing
+   the visited index does not disturb the walk. *)
+let filter_in_place p t = iter_true (fun i -> if not (p i) then clear t i) t
+
 let fold_true f init t =
   let acc = ref init in
   iter_true (fun i -> acc := f !acc i) t;

@@ -52,6 +52,9 @@ val iter_true : (int -> unit) -> t -> unit
 (** Set indices in ascending order — how bitset survivor sets
     materialize into candidate lists in index (insertion) order. *)
 
+val filter_in_place : (int -> bool) -> t -> unit
+(** Clear every set index [i] for which [p i] is false. *)
+
 val fold_true : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val map_true : (int -> 'a) -> t -> 'a list

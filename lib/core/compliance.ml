@@ -9,8 +9,8 @@
    id.  The hot path of a warm query is one array read per (constraint,
    32-core word): {!Slot.peek_word} unpacks a whole word into
    known/inferior masks that combine with the sweep's keep bitset
-   branchlessly.  Scattered pools and the recording fallback read one
-   verdict at a time through {!Slot.peek}.
+   branchlessly.  The recording fallback reads one verdict at a time
+   through {!Slot.peek}.
 
    Concurrency: one table serves a session lineage, and since the
    exploration service stopped serializing requests globally, several
@@ -19,7 +19,7 @@
    lockless against a {!Slot.view}: [slot] pre-grows the word array to
    cover the whole dense-id universe while holding the lock, so the buffer a query
    reads is never reallocated under it, and new verdicts are buffered
-   by the sweep and written back in one {!Slot.merge} /
+   by the sweep as id bitsets and written back in one
    {!Slot.merge_bits} — which re-checks the stamp, so a sweep that
    overlapped an invalidation discards its write-back instead of
    poisoning the new generation.  A lockless reader sees each word
@@ -165,7 +165,6 @@ module Slot = struct
   let codes_per_word = 16
   let unknown = 0
   let inferior = 1
-  let kept = 2
 
   let view s = s.slot.verdicts
 
@@ -190,12 +189,6 @@ module Slot = struct
     let inf v = Bitset.unspread16 (v land 0x55555555) in
     (known v0 lor (known v1 lsl 16), inf v0 lor (inf v1 lsl 16))
 
-  (* Call under the cache lock. *)
-  let write_code v id code =
-    let w = id lsr 4 in
-    let sh = (id land 15) * 2 in
-    v.(w) <- (v.(w) land lnot (3 lsl sh)) lor (code lsl sh)
-
   let record_counters s ~hits ~misses =
     if hits > 0 then Obs.add m_verdict_hits hits;
     if misses > 0 then Obs.add m_verdict_misses misses;
@@ -204,58 +197,36 @@ module Slot = struct
 
   let stamp_live s = s.slot.gen = s.gen && String.equal s.slot.focus s.focus
 
-  let merge s writes ~hits ~misses =
-    locked s.cache (fun () ->
-        record_counters s ~hits ~misses;
-        (* an invalidation (fresh generation or focus move) between this
-           sweep's [view] and now makes its verdicts stale: drop them *)
-        if stamp_live s then begin
-          let v = s.slot.verdicts in
-          let nw = Array.length v in
-          List.iter
-            (fun (id, verdict) ->
-              if id lsr 4 < nw then write_code v id (if verdict then inferior else kept))
-            writes
-        end)
-
-  (* The columnar write-back: [touched]/[inferior_bits] are position
-     bitsets over the sweep's pool; [ids] maps positions to core ids
-     ([None] = the pool is the whole universe, positions are ids).  On
-     the identity pool each 32-position word updates its two verdict
-     words with five logical ops — no per-core loop. *)
-  let merge_bits s ~touched ~inferior_bits ~ids ~hits ~misses =
+  (* The one write-back: [touched]/[inferior_bits] are bitsets over the
+     dense-id universe, so each 32-id word updates its two verdict
+     words with five logical ops — no per-core loop.  An invalidation
+     (fresh generation or focus move) between this sweep's [view] and
+     now makes its verdicts stale: they are dropped, the counters
+     still count. *)
+  let merge_bits s ~touched ~inferior_bits ~hits ~misses =
     locked s.cache (fun () ->
         record_counters s ~hits ~misses;
         if stamp_live s then begin
           let v = s.slot.verdicts in
           let nv = Array.length v in
-          match ids with
-          | None ->
-            let half vi t16 i16 =
-              if t16 <> 0 && vi < nv then begin
-                let tm = Bitset.spread16 t16 in
-                let im = Bitset.spread16 i16 in
-                let pairmask = tm lor (tm lsl 1) in
-                (* inferior code (1) contributes the even bit, kept
-                   code (2) the odd bit *)
-                v.(vi) <- v.(vi) land lnot pairmask lor im lor ((tm land lnot im) lsl 1)
-              end
-            in
-            for w = 0 to Bitset.word_count touched - 1 do
-              let t32 = Bitset.word touched w in
-              if t32 <> 0 then begin
-                let i32 = Bitset.word inferior_bits w in
-                half (2 * w) (t32 land 0xFFFF) (i32 land 0xFFFF);
-                half ((2 * w) + 1) (t32 lsr 16) (i32 lsr 16)
-              end
-            done
-          | Some ids ->
-            Bitset.iter_true
-              (fun k ->
-                let id = ids.(k) in
-                if id lsr 4 < nv then
-                  write_code v id (if Bitset.mem inferior_bits k then inferior else kept))
-              touched
+          let half vi t16 i16 =
+            if t16 <> 0 && vi < nv then begin
+              let tm = Bitset.spread16 t16 in
+              let im = Bitset.spread16 i16 in
+              let pairmask = tm lor (tm lsl 1) in
+              (* inferior code (1) contributes the even bit, kept code
+                 (2) the odd bit *)
+              v.(vi) <- v.(vi) land lnot pairmask lor im lor ((tm land lnot im) lsl 1)
+            end
+          in
+          for w = 0 to Bitset.word_count touched - 1 do
+            let t32 = Bitset.word touched w in
+            if t32 <> 0 then begin
+              let i32 = Bitset.word inferior_bits w in
+              half (2 * w) (t32 land 0xFFFF) (i32 land 0xFFFF);
+              half ((2 * w) + 1) (t32 lsr 16) (i32 lsr 16)
+            end
+          done
         end)
 end
 

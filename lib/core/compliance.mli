@@ -15,8 +15,8 @@
     inferior / kept), sixteen cores per word of a flat [int array]
     indexed by the index's dense core id.  A warm sweep therefore reads
     one word per (constraint, 32 cores) via {!Slot.peek_word} and
-    combines it with the survivor bitset branchlessly; scattered pools
-    and the fault-recording fallback read single verdicts through
+    combines it with the survivor bitset branchlessly; the
+    fault-recording fallback reads single verdicts through
     {!Slot.peek}.  Survivor sets are cached as {!Bitset} words over the
     dense-id universe — see {!type:survivors}.
 
@@ -61,7 +61,7 @@
     buffer to the whole universe under the lock, the sweep
     itself reads a {!Slot.view} locklessly (and in parallel chunks, see
     {!Parallel}), and buffered new verdicts are written back in one
-    {!Slot.merge} / {!Slot.merge_bits}, which drops them if the stamp
+    {!Slot.merge_bits}, which drops them if the stamp
     moved mid-sweep.  Two sweeps racing at the same stamp write
     identical (deterministic) verdicts, so the merge is idempotent;
     lockless readers see each word atomically (array elements never
@@ -113,27 +113,17 @@ module Slot : sig
       and of [inferior] iff that verdict is "inferior".  Pure,
       lock-free; out-of-range words read as all-unknown. *)
 
-  val merge : t -> (int * bool) list -> hits:int -> misses:int -> unit
-  (** Write a sweep's buffered verdicts back ([(id, inferior)]; faults
-      must not be among them) and add its lookup counters to the stats.
-      If the slot was restamped since the handle was resolved, the
-      verdicts are dropped — they describe a dead generation — but the
-      counters still count. *)
-
   val merge_bits :
-    t ->
-    touched:Bitset.t ->
-    inferior_bits:Bitset.t ->
-    ids:int array option ->
-    hits:int ->
-    misses:int ->
-    unit
-  (** Columnar write-back.  [touched] and [inferior_bits] are position
-      bitsets over the sweep's pool; [ids] maps positions to core ids,
-      [None] meaning the pool {e is} the dense-id universe (position =
-      id), in which case each 32-position word updates its two verdict
-      words with a constant number of logical ops.  Same stamp-recheck
-      contract as {!merge}. *)
+    t -> touched:Bitset.t -> inferior_bits:Bitset.t -> hits:int -> misses:int -> unit
+  (** Write a sweep's buffered verdicts back and add its lookup
+      counters to the stats.  [touched] and [inferior_bits] are bitsets
+      over the dense-id universe: bit [id] of [touched] marks a fresh
+      verdict on core [id] (faults must not be among them), inferior
+      iff the same bit of [inferior_bits] is set.  Each 32-id word
+      updates its two verdict words with a constant number of logical
+      ops.  If the slot was restamped since the handle was resolved,
+      the verdicts are dropped — they describe a dead generation — but
+      the counters still count. *)
 end
 
 val slot : universe:int -> t -> cc:string -> gen:int -> focus:string -> Slot.t

@@ -16,7 +16,7 @@ type node = {
   here : (string * Core.t) list;  (* indexed exactly at this node, insertion order *)
   children : (string, node) Hashtbl.t;
   subtree : (string * Core.t) list;  (* at or below, insertion order *)
-  subtree_ids : int array;  (* dense ids of [subtree], ascending *)
+  subtree_bits : Bitset.t;  (* dense ids of [subtree], over the universe *)
   count : int;  (* List.length subtree *)
 }
 
@@ -26,7 +26,6 @@ type t = {
   orphans : (string * Core.t) list;
   all : (string * Core.t) list;  (* every indexed entry, insertion order *)
   paths : (string, string list) Hashtbl.t;  (* qualified id -> node path *)
-  all_ids : int array;  (* [|0; ...; n-1|]; the identity pool *)
   store : Columnar.t;  (* flat per-property/per-merit columns, by dense id *)
 }
 
@@ -76,13 +75,15 @@ let rec insert builder entry = function
 
 (* Returns the frozen node plus its subtree's entries (unsorted); the
    per-node [subtree] list is re-sorted by insertion number so query
-   results keep the registry order the old linear scan produced. *)
-let rec freeze builder =
+   results keep the registry order the old linear scan produced.
+   [universe] is the number of indexed entries, the length of every
+   node's id mask. *)
+let rec freeze ~universe builder =
   let children = Hashtbl.create (Hashtbl.length builder.kids) in
   let below =
     Hashtbl.fold
       (fun seg child acc ->
-        let child_node, child_entries = freeze child in
+        let child_node, child_entries = freeze ~universe child in
         Hashtbl.add children seg child_node;
         List.rev_append child_entries acc)
       builder.kids []
@@ -90,12 +91,14 @@ let rec freeze builder =
   let entries = List.rev_append builder.here_rev below in
   let in_order = List.sort (fun a b -> compare a.seq b.seq) entries in
   let strip es = List.map (fun e -> (e.qid, e.core)) es in
+  let subtree_bits = Bitset.create universe in
+  List.iter (fun e -> Bitset.set subtree_bits e.seq) entries;
   let node =
     {
       here = strip (List.rev builder.here_rev);
       children;
       subtree = strip in_order;
-      subtree_ids = Array.of_list (List.map (fun e -> e.seq) in_order);
+      subtree_bits;
       count = List.length in_order;
     }
   in
@@ -123,7 +126,7 @@ let build hierarchy cores =
         | None -> (entries, (qid, core) :: orphans))
       ([], []) cores
   in
-  let root, _ = freeze builder in
+  let root, _ = freeze ~universe:!seq builder in
   let all = List.rev entries_rev in
   (* The columnar projection is built eagerly with the trie: layers are
      built once and shared across session lineages ([Session.pristine],
@@ -132,15 +135,13 @@ let build hierarchy cores =
      numbers, so [all], every [subtree] and every bitset materialize in
      the same order. *)
   let entries = Array.of_list all in
-  let n = !seq in
-  assert (Array.length entries = n);
+  assert (Array.length entries = !seq);
   {
     root = Some root;
     root_name;
     orphans = List.rev orphans_rev;
     all;
     paths;
-    all_ids = Array.init n Fun.id;
     store = Columnar.build entries;
   }
 
@@ -179,10 +180,12 @@ let unindexed t = t.orphans
 
 (* {2 Columnar access} — the dense-id view of the same entries. *)
 
-let size t = Array.length t.all_ids
+let size t = Columnar.length t.store
 let columnar t = t.store
 let entry_at t i = Columnar.entry t.store i
 
-let under_ids t path =
-  if path = [] then t.all_ids
-  else match resolve t path with Some node -> node.subtree_ids | None -> [||]
+(* [resolve] maps the empty path to the root, whose mask is full *)
+let under_bits t path =
+  match resolve t path with
+  | Some node -> Bitset.copy node.subtree_bits
+  | None -> Bitset.create (size t)

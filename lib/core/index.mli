@@ -36,18 +36,20 @@ val unindexed : t -> (string * Ds_reuse.Core.t) list
 (** {2 Dense-id (columnar) view}
 
     Every indexed entry carries a dense id in [0, size) — its insertion
-    order — which is the index into the {!Columnar} store and the id
-    space of the columnar sweep's verdict slots and survivor bitsets.
-    [under] and the id arrays present the same entries in the same
-    (ascending-id) order, so a bitset materialized in ascending-id
-    order reproduces [under]'s list order exactly. *)
+    order — which is the index into the {!Columnar} store and the one
+    id space of the columnar sweep: its pool masks, verdict slots and
+    survivor bitsets all use it.  [under] lists a node's entries in
+    ascending-id order, so a bitset materialized in ascending-id order
+    reproduces [under]'s list order exactly. *)
 
 val size : t -> int
 (** Number of indexed entries (orphans excluded). *)
 
-val under_ids : t -> string list -> int array
-(** The dense ids of [under t path], ascending.  For the empty path and
-    for the root node this is the full [0, size) range. *)
+val under_bits : t -> string list -> Bitset.t
+(** The dense ids of [under t path] as a mask over [0, size) — a fresh
+    copy of the mask each trie node carries, so the caller may clear
+    bits in place.  For the empty path and for the root node every bit
+    is set. *)
 
 val entry_at : t -> int -> string * Ds_reuse.Core.t
 (** The (qualified id, core) entry of a dense id — the same physical

@@ -165,6 +165,15 @@ let value_signature = function
   | Value.Real f -> "r" ^ string_of_float f
   | Value.Flag b -> if b then "f1" else "f0"
 
+(* The cache keys ([cc_state_key], [state_signature]) must name a state
+   exactly, so they take reals by their bits: [string_of_float] keeps 12
+   significant digits, and two budgets that print alike would share a
+   generation and a survivor set.  [candidate_signature]'s observable
+   prefix keeps [value_signature], so journal bytes do not move. *)
+let value_key = function
+  | Value.Real f -> Printf.sprintf "r%h" f
+  | (Value.Str _ | Value.Int _ | Value.Flag _) as v -> value_signature v
+
 (* The state key a constraint's generation is memoized on: its name
    plus the current value (or absence) of every property it mentions.
    Generations exist to invalidate memoized verdicts when a relevant
@@ -183,7 +192,7 @@ let cc_state_key t cc =
     Buffer.add_string buf p.Propref.property;
     Buffer.add_char buf '=';
     match binding t p.Propref.property with
-    | Some b -> Buffer.add_string buf (value_signature b.value)
+    | Some b -> Buffer.add_string buf (value_key b.value)
     | None -> Buffer.add_char buf '?'
   in
   List.iter add cc.Consistency.indep;
@@ -405,7 +414,7 @@ let state_signature t =
          Buffer.add_char buf '|';
          Buffer.add_string buf b.prop.Property.name;
          Buffer.add_char buf '=';
-         Buffer.add_string buf (value_signature b.value));
+         Buffer.add_string buf (value_key b.value));
   List.iter
     (fun cc ->
       match cc.Consistency.relation with
@@ -444,11 +453,14 @@ exception Sweep_fault
    by a cache miss mid-query still stops evaluating immediately,
    exactly as on the naive path.  A quarantined constraint's memoized
    verdicts are skipped, never served.  Faulted evaluations are never
-   stored. *)
-let sweep_recording t environment store ids elims =
-  let n = Array.length ids in
-  let keep = Array.make (Stdlib.max 1 n) true in
-  let stores = Array.make (Array.length elims) [] in
+   stored.  Returns what the columnar sweep produces: the survivor
+   mask, per constraint the touched/inferior id bitsets of the verdicts
+   it computed, and its counts in the shape of one sweep chunk's. *)
+let sweep_recording t environment store pool elims =
+  let universe = Bitset.length pool in
+  let keep = Bitset.copy pool in
+  let touched = Array.map (fun _ -> Bitset.create universe) elims in
+  let inferior_bits = Array.map (fun _ -> Bitset.create universe) elims in
   let elimc = Array.make (Array.length elims) 0 in
   let hits = ref 0 and misses = ref 0 in
   Array.iter (fun e -> e.e_quarantined <- quarantined_cc t e.e_cc) elims;
@@ -460,49 +472,53 @@ let sweep_recording t environment store ids elims =
       Array.iter (fun e -> e.e_quarantined <- quarantined_cc t e.e_cc) elims
     end
   in
-  for i = 0 to n - 1 do
-    refresh_quarantine ();
-    let id = ids.(i) in
-    let core = Columnar.core store id in
-    let eliminated = ref false in
-    Array.iteri
-      (fun j e ->
-        if (not !eliminated) && not e.e_quarantined then
-          match Compliance.Slot.peek e.e_view ~id with
-          | Some verdict ->
-            incr hits;
-            if verdict then begin
+  Bitset.iter_true
+    (fun id ->
+      refresh_quarantine ();
+      let core = Columnar.core store id in
+      let eliminated = ref false in
+      Array.iteri
+        (fun j e ->
+          if (not !eliminated) && not e.e_quarantined then
+            let verdict =
+              match Compliance.Slot.peek e.e_view ~id with
+              | Some _ as cached ->
+                incr hits;
+                cached
+              | None -> (
+                incr misses;
+                match Guard.run (fun () -> e.e_inferior environment core) with
+                | Ok verdict ->
+                  Bitset.set touched.(j) id;
+                  if verdict then Bitset.set inferior_bits.(j) id;
+                  Some verdict
+                | Error fault ->
+                  record_fault t e.e_cc ~op:"eliminate" fault;
+                  None)
+            in
+            if verdict = Some true then begin
               eliminated := true;
               elimc.(j) <- elimc.(j) + 1
-            end
-          | None -> (
-            incr misses;
-            match Guard.run (fun () -> e.e_inferior environment core) with
-            | Ok verdict ->
-              stores.(j) <- (id, verdict) :: stores.(j);
-              if verdict then begin
-                eliminated := true;
-                elimc.(j) <- elimc.(j) + 1
-              end
-            | Error fault -> record_fault t e.e_cc ~op:"eliminate" fault))
-      elims;
-    keep.(i) <- not !eliminated
-  done;
-  (keep, stores, elimc, !hits, !misses)
+            end)
+        elims;
+      if !eliminated then Bitset.clear keep id)
+    pool;
+  (keep, touched, inferior_bits, [ (elimc, !hits, !misses, false) ])
 
 (* The columnar sweep: the same query as [candidates_naive], computed
    incrementally over the index's flat columns and answered as a
    survivor {!Bitset} over the dense-id universe instead of a core
    list.
 
-   The pool is an ascending dense-id array ([Index.under_ids], then the
-   design-issue compliance filter over property columns).  The keep
-   mask and the per-constraint touched/inferior masks are position
-   bitsets over that pool; when the pool {e is} the whole universe
-   (root focus, no issue filter — the million-core bench shape),
-   positions coincide with ids and each (constraint, 32-core word) of a
-   warm query costs one {!Compliance.Slot.peek_word} plus a handful of
-   mask ops, with no per-core control flow at all.
+   Everything lives in that one id space.  The pool is the focus
+   subtree's mask ([Index.under_bits]) with the design-issue
+   compliance filter clearing bits in place; the keep mask and the
+   per-constraint touched/inferior masks are id bitsets, so word [w]
+   of every mask and the verdict words read by
+   {!Compliance.Slot.peek_word} all cover ids [32w, 32w + 32).  A warm
+   (constraint, word) step is one [peek_word] plus a handful of mask
+   ops, with no per-core control flow; words outside the pool are
+   skipped by their zero keep word.
 
    Evaluation-set parity with the core-major/early-exit recording
    sweep: the word loop applies constraints in declaration order and
@@ -518,48 +534,20 @@ let candidates_bits_memo t =
   let bound = bound_fn t in
   let store = Index.columnar t.index in
   let universe = Index.size t.index in
-  let pool = Index.under_ids t.index t.focus in
-  let pool =
-    if not (List.exists (fun b -> Property.is_design_issue b.prop) t.bindings) then pool
-    else begin
-      (* [Columnar.property_matches] is [Core.matches_property] over the
-         interned column: [None] means no core declares the key, which
-         the per-core filter treats as all-match *)
-      let preds =
-        List.filter_map
-          (fun b ->
-            if Property.is_design_issue b.prop then
-              Columnar.property_matches store ~key:b.prop.Property.name
-                ~value:(Value.to_string b.value)
-            else None)
-          t.bindings
-      in
-      if preds = [] then pool
-      else begin
-        let matches i = List.for_all (fun p -> p i) preds in
-        let cnt = ref 0 in
-        Array.iter (fun i -> if matches i then incr cnt) pool;
-        if !cnt = Array.length pool then pool
-        else begin
-          let out = Array.make !cnt 0 in
-          let k = ref 0 in
-          Array.iter
-            (fun i ->
-              if matches i then begin
-                out.(!k) <- i;
-                incr k
-              end)
-            pool;
-          out
-        end
-      end
-    end
+  let pool = Index.under_bits t.index t.focus in
+  (* [Columnar.property_matches] is [Core.matches_property] over the
+     interned column: [None] means no core declares the key, which the
+     per-core filter treats as all-match *)
+  let preds =
+    List.filter_map
+      (fun b ->
+        if Property.is_design_issue b.prop then
+          Columnar.property_matches store ~key:b.prop.Property.name
+            ~value:(Value.to_string b.value)
+        else None)
+      t.bindings
   in
-  let m = Array.length pool in
-  (* the pool is strictly ascending within [0, universe), so full
-     length means it is the identity — positions are dense ids and the
-     verdict words line up with the mask words *)
-  let identity = m = universe in
+  if preds <> [] then Bitset.filter_in_place (fun i -> List.for_all (fun p -> p i) preds) pool;
   let elim_ccs =
     List.filter_map
       (fun cc ->
@@ -571,7 +559,7 @@ let candidates_bits_memo t =
           None)
       t.constraints
   in
-  if elim_ccs = [] then Bitset.of_ids ~length:universe pool
+  if elim_ccs = [] then pool
   else begin
     let elims =
       Array.of_list
@@ -600,10 +588,12 @@ let candidates_bits_memo t =
            elim_ccs)
     in
     let n_elims = Array.length elims in
-    let keep = Bitset.create_full m in
-    let touched = Array.init n_elims (fun _ -> Bitset.create m) in
-    let inferior_bits = Array.init n_elims (fun _ -> Bitset.create m) in
-    (* one chunk sweeps positions [lo, hi); quantum 32 makes chunks own
+    let m = Bitset.count pool in
+    (* [pool] stays intact for the recording fallback *)
+    let keep = Bitset.copy pool in
+    let touched = Array.init n_elims (fun _ -> Bitset.create universe) in
+    let inferior_bits = Array.init n_elims (fun _ -> Bitset.create universe) in
+    (* one chunk sweeps ids [lo, hi); quantum 32 makes chunks own
        disjoint words of [keep]/[touched]/[inferior_bits], so their
        lockless word writes cannot race *)
     let sweep_chunk lo hi =
@@ -617,39 +607,16 @@ let candidates_bits_memo t =
              for j = 0 to n_elims - 1 do
                let e = elims.(j) in
                if !kw <> 0 && not e.e_quarantined then begin
-                 let known, inf =
-                   if identity then Compliance.Slot.peek_word e.e_view ~w
-                   else begin
-                     (* scattered pool: gather the alive positions'
-                        verdicts one id at a time *)
-                     let known = ref 0 and inf = ref 0 in
-                     let bits = ref !kw in
-                     while !bits <> 0 do
-                       let b = !bits land - !bits in
-                       let k = (w lsl 5) + Bitset.popcount32 (b - 1) in
-                       (match
-                          Compliance.Slot.peek e.e_view ~id:(Array.unsafe_get pool k)
-                        with
-                       | Some v ->
-                         known := !known lor b;
-                         if v then inf := !inf lor b
-                       | None -> ());
-                       bits := !bits land (!bits - 1)
-                     done;
-                     (!known, !inf)
-                   end
-                 in
+                 let known, inf = Compliance.Slot.peek_word e.e_view ~w in
                  let cached_known = !kw land known in
                  let unknown = !kw land lnot known in
                  hits := !hits + Bitset.popcount32 cached_known;
                  misses := !misses + Bitset.popcount32 unknown;
                  let new_elim = ref 0 in
                  if unknown <> 0 then begin
-                   let tw = ref (Bitset.word touched.(j) w) in
-                   let iw = ref (Bitset.word inferior_bits.(j) w) in
                    let eval =
                      match e.e_kernel with
-                     | Some kernel -> fun id -> kernel id
+                     | Some kernel -> kernel
                      | None ->
                        fun id -> (
                          match
@@ -661,17 +628,13 @@ let candidates_bits_memo t =
                    let bits = ref unknown in
                    while !bits <> 0 do
                      let b = !bits land - !bits in
-                     let k = (w lsl 5) + Bitset.popcount32 (b - 1) in
-                     let id = if identity then k else Array.unsafe_get pool k in
-                     tw := !tw lor b;
-                     if eval id then begin
-                       iw := !iw lor b;
-                       new_elim := !new_elim lor b
-                     end;
+                     if eval ((w lsl 5) + Bitset.popcount32 (b - 1)) then
+                       new_elim := !new_elim lor b;
                      bits := !bits land (!bits - 1)
                    done;
-                   Bitset.set_word touched.(j) w !tw;
-                   Bitset.set_word inferior_bits.(j) w !iw
+                   Bitset.set_word touched.(j) w (Bitset.word touched.(j) w lor unknown);
+                   Bitset.set_word inferior_bits.(j) w
+                     (Bitset.word inferior_bits.(j) w lor !new_elim)
                  end;
                  let elim_w = (cached_known land inf) lor !new_elim in
                  if elim_w <> 0 then begin
@@ -691,16 +654,6 @@ let candidates_bits_memo t =
            guarded closure *)
         faulted := true);
       (elimc, !hits, !misses, !faulted)
-    in
-    let merge_all ~hits ~misses =
-      Array.iteri
-        (fun j e ->
-          Compliance.Slot.merge_bits e.e_slot ~touched:touched.(j)
-            ~inferior_bits:inferior_bits.(j)
-            ~ids:(if identity then None else Some pool)
-            ~hits:(if j = 0 then hits else 0)
-            ~misses:(if j = 0 then misses else 0))
-        elims
     in
     let elim_total = Array.make n_elims 0 in
     let hits_total = ref 0 and misses_total = ref 0 in
@@ -743,49 +696,35 @@ let candidates_bits_memo t =
             ])
       (fun () ->
         let chunks =
-          Parallel.map_chunks ~quantum:Bitset.bits_per_word ~n:m sweep_chunk
+          Parallel.map_chunks ~quantum:Bitset.bits_per_word ~n:universe sweep_chunk
         in
-        if List.exists (fun (_, _, _, faulted) -> faulted) chunks then begin
-          (* a closure faulted (or a kernel threw): discard every
-             chunk's masks and replay sequentially with the guarded
-             closures, recording faults/strikes/quarantines in exact
-             sequential encounter order (successful verdicts are
-             deterministic and were never published, so re-evaluating
-             them has no side effects) *)
-          was_fallback := true;
-          let keep_arr, stores, elimc, hits, misses =
+        let keep, touched, inferior_bits, counts =
+          if List.exists (fun (_, _, _, faulted) -> faulted) chunks then begin
+            (* a closure faulted (or a kernel threw): discard every
+               chunk's masks and replay sequentially with the guarded
+               closures, recording faults/strikes/quarantines in exact
+               sequential encounter order (successful verdicts are
+               deterministic and were never published, so
+               re-evaluating them has no side effects) *)
+            was_fallback := true;
             sweep_recording t environment store pool elims
-          in
-          Array.iteri
-            (fun j writes ->
-              Compliance.Slot.merge elims.(j).e_slot writes
-                ~hits:(if j = 0 then hits else 0)
-                ~misses:(if j = 0 then misses else 0))
-            stores;
-          Array.blit elimc 0 elim_total 0 n_elims;
-          hits_total := hits;
-          misses_total := misses;
-          let bits = Bitset.create universe in
-          for k = 0 to m - 1 do
-            if keep_arr.(k) then Bitset.set bits pool.(k)
-          done;
-          bits
-        end
-        else begin
-          List.iter
-            (fun (elimc, hits, misses, _) ->
-              Array.iteri (fun j c -> elim_total.(j) <- elim_total.(j) + c) elimc;
-              hits_total := !hits_total + hits;
-              misses_total := !misses_total + misses)
-            chunks;
-          merge_all ~hits:!hits_total ~misses:!misses_total;
-          if identity then keep
-          else begin
-            let bits = Bitset.create universe in
-            Bitset.iter_true (fun k -> Bitset.set bits (Array.unsafe_get pool k)) keep;
-            bits
           end
-        end)
+          else (keep, touched, inferior_bits, chunks)
+        in
+        List.iter
+          (fun (elimc, hits, misses, _) ->
+            Array.iteri (fun j c -> elim_total.(j) <- elim_total.(j) + c) elimc;
+            hits_total := !hits_total + hits;
+            misses_total := !misses_total + misses)
+          counts;
+        Array.iteri
+          (fun j e ->
+            Compliance.Slot.merge_bits e.e_slot ~touched:touched.(j)
+              ~inferior_bits:inferior_bits.(j)
+              ~hits:(if j = 0 then !hits_total else 0)
+              ~misses:(if j = 0 then !misses_total else 0))
+          elims;
+        keep)
   end
 
 (* The survivor set of the current state, served from the lineage cache

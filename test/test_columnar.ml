@@ -1,6 +1,6 @@
 (* Unit tests for the columnar sweep substrate: bitsets against a
    bool-array oracle, packed verdict slots (word reads vs per-id reads,
-   both merge paths, restamping), the clock cache's second-chance
+   the bitset merge, restamping), the clock cache's second-chance
    eviction, the columnar store against per-core lookups, and the
    quantum-aligned chunk boundaries the parallel sweep relies on. *)
 
@@ -112,6 +112,12 @@ let test_bitset_oracle () =
             (List.filteri (fun i _ -> i < k) oracle_ids)
             (Bitset.take_true t k))
         [ 0; 1; 5; count_oracle; count_oracle + 1 ];
+      let odd = Bitset.copy t in
+      Bitset.filter_in_place (fun i -> i mod 2 = 1) odd;
+      Alcotest.(check (list int))
+        (Printf.sprintf "filter_in_place/%d" length)
+        (List.filter (fun i -> i mod 2 = 1) oracle_ids)
+        (Bitset.map_true Fun.id odd);
       (* iter_runs: maximal, ascending, and covering exactly the set bits *)
       let runs = ref [] in
       Bitset.iter_runs (fun lo hi -> runs := (lo, hi) :: !runs) t;
@@ -165,6 +171,16 @@ let universe = 70 (* crosses two bitset words and five verdict words *)
 let fresh_slot ?(cc = "CC") t =
   Compliance.slot ~universe t ~cc ~gen:(Compliance.fresh_generation t) ~focus:"/"
 
+(* Write [(id, inferior)] verdicts back through the one bitset merge. *)
+let merge_verdicts s verdicts ~hits ~misses =
+  let touched = Bitset.create universe and inferior = Bitset.create universe in
+  List.iter
+    (fun (id, verdict) ->
+      Bitset.set touched id;
+      if verdict then Bitset.set inferior id)
+    verdicts;
+  Compliance.Slot.merge_bits s ~touched ~inferior_bits:inferior ~hits ~misses
+
 let test_slot_merge_peek () =
   let t = Compliance.create () in
   let s = fresh_slot t in
@@ -174,7 +190,7 @@ let test_slot_merge_peek () =
         if Prng.int g 3 = 0 then None else Some (id, Prng.int g 2 = 0))
     |> List.filter_map Fun.id
   in
-  Compliance.Slot.merge s verdicts ~hits:0 ~misses:(List.length verdicts);
+  merge_verdicts s verdicts ~hits:0 ~misses:(List.length verdicts);
   let view = Compliance.Slot.view s in
   List.iter
     (fun (id, inferior) ->
@@ -222,7 +238,7 @@ let test_slot_peek_word () =
         if Prng.int g 4 = 0 then None else Some (id, Prng.int g 2 = 0))
     |> List.filter_map Fun.id
   in
-  Compliance.Slot.merge s verdicts ~hits:0 ~misses:0;
+  merge_verdicts s verdicts ~hits:0 ~misses:0;
   check_words "after merge" (Compliance.Slot.view s)
 
 let test_slot_merge_bits_identity () =
@@ -236,7 +252,7 @@ let test_slot_merge_bits_identity () =
       if Prng.int g 2 = 0 then Bitset.set inferior id
     end
   done;
-  Compliance.Slot.merge_bits s ~touched ~inferior_bits:inferior ~ids:None ~hits:0 ~misses:0;
+  Compliance.Slot.merge_bits s ~touched ~inferior_bits:inferior ~hits:0 ~misses:0;
   let view = Compliance.Slot.view s in
   for id = 0 to universe - 1 do
     let expected =
@@ -250,8 +266,7 @@ let test_slot_merge_bits_identity () =
   let touched2 = Bitset.create universe and inferior2 = Bitset.create universe in
   Bitset.set touched2 0;
   Bitset.set inferior2 0;
-  Compliance.Slot.merge_bits s ~touched:touched2 ~inferior_bits:inferior2 ~ids:None ~hits:0
-    ~misses:0;
+  Compliance.Slot.merge_bits s ~touched:touched2 ~inferior_bits:inferior2 ~hits:0 ~misses:0;
   let view = Compliance.Slot.view s in
   Alcotest.(check (option bool)) "overwritten id 0" (Some true)
     (Compliance.Slot.peek view ~id:0);
@@ -263,42 +278,15 @@ let test_slot_merge_bits_identity () =
       (Compliance.Slot.peek view ~id)
   done
 
-let test_slot_merge_bits_scatter () =
-  let t = Compliance.create () in
-  let s = fresh_slot t in
-  (* a filtered pool: positions map to strided core ids *)
-  let pool = Array.init 20 (fun k -> 3 * k) in
-  let m = Array.length pool in
-  let touched = Bitset.create m and inferior = Bitset.create m in
-  Array.iteri
-    (fun k _ ->
-      if k mod 2 = 0 then begin
-        Bitset.set touched k;
-        if k mod 4 = 0 then Bitset.set inferior k
-      end)
-    pool;
-  Compliance.Slot.merge_bits s ~touched ~inferior_bits:inferior ~ids:(Some pool) ~hits:0
-    ~misses:0;
-  let view = Compliance.Slot.view s in
-  for id = 0 to universe - 1 do
-    let expected =
-      (* id = 3k for even k was touched; verdict inferior iff k mod 4 = 0 *)
-      if id mod 3 = 0 && id / 3 < m && id / 3 mod 2 = 0 then Some (id / 3 mod 4 = 0)
-      else None
-    in
-    Alcotest.(check (option bool)) (Printf.sprintf "scatter id %d" id) expected
-      (Compliance.Slot.peek view ~id)
-  done
-
 let test_slot_restamp_drops () =
   let t = Compliance.create () in
   let stale = fresh_slot t in
   (* same constraint, newer generation: restamps the slot *)
   let live = fresh_slot t in
-  Compliance.Slot.merge stale [ (1, true); (2, false) ] ~hits:0 ~misses:2;
+  merge_verdicts stale [ (1, true); (2, false) ] ~hits:0 ~misses:2;
   Alcotest.(check (option bool)) "stale merge dropped" None
     (Compliance.Slot.peek (Compliance.Slot.view live) ~id:1);
-  Compliance.Slot.merge live [ (1, true) ] ~hits:0 ~misses:1;
+  merge_verdicts live [ (1, true) ] ~hits:0 ~misses:1;
   Alcotest.(check (option bool)) "live merge lands" (Some true)
     (Compliance.Slot.peek (Compliance.Slot.view live) ~id:1);
   (* counters from both merges were kept *)
@@ -505,7 +493,6 @@ let () =
           Alcotest.test_case "merge + peek" `Quick test_slot_merge_peek;
           Alcotest.test_case "peek_word" `Quick test_slot_peek_word;
           Alcotest.test_case "merge_bits identity" `Quick test_slot_merge_bits_identity;
-          Alcotest.test_case "merge_bits scatter" `Quick test_slot_merge_bits_scatter;
           Alcotest.test_case "restamp drops stale merges" `Quick test_slot_restamp_drops;
         ] );
       ( "clock cache",

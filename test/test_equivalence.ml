@@ -237,6 +237,31 @@ let test_injected_synthetic () =
       | _ -> false)
   | Error msg, _ | _, Error msg -> Alcotest.failf "drive failed: %s" msg
 
+(* Two budgets that agree to 12 significant digits are two states: the
+   generation and survivor keys must tell them apart, or the second
+   binding is served the first one's survivors.  The budgets straddle
+   core 7's GEL0 score, so exactly that core flips. *)
+let test_close_reals_keyed_apart () =
+  let spec = Gn.default_spec in
+  let _, core7 = List.nth (Gn.cores spec) 7 in
+  let score =
+    List.fold_left
+      (fun acc f ->
+        acc +. (Gn.weight 0 f *. Option.get (Ds_reuse.Core.merit core7 (Gn.merit_name f))))
+      0.0
+      (List.init spec.Gn.fanin Fun.id)
+  in
+  let below = score -. 1e-10 and above = score +. 1e-10 in
+  Alcotest.(check string) "budgets print alike" (string_of_float below) (string_of_float above);
+  let steps =
+    [
+      ("below", fun s -> Session.set s (Gn.budget_name 0) (Value.real below));
+      ("retract", fun s -> Session.retract s (Gn.budget_name 0));
+      ("above", fun s -> Session.set s (Gn.budget_name 0) (Value.real above));
+    ]
+  in
+  ignore (lockstep ~name:"close reals" steps (Gn.session spec, Gn.session ~use_cache:false spec))
+
 (* -------------------------------------------------------------------- *)
 (* Parallel vs sequential: the chunked sweep (PR 4) must be bit-identical
    to the single-chunk path — same candidates, same signatures, same
@@ -388,6 +413,11 @@ let gen_steps =
     ("tighten GB0", rebind (Gn.budget_name 0) (Value.real 120.0));
     ("relax GB1", rebind (Gn.budget_name 1) (Value.real 2000.0));
     ("revisit GB0", rebind (Gn.budget_name 0) (Value.real 170.0));
+    (* narrowed pools: the fam2 subtree, then that subtree under a plain
+       issue, then the plain issue alone back at the root *)
+    ("decide G1", fun s -> Session.set s Gn.family_issue (Value.str "fam2"));
+    ("decide Q0", fun s -> Session.set s "Q0" (Value.str "q1"));
+    ("retract G1", fun s -> Session.retract s Gn.family_issue);
     ("drop GB2", fun s -> Session.retract s (Gn.budget_name 2));
   ]
 
@@ -454,10 +484,18 @@ let test_generated_faults () =
     Result.bind s (fun s ->
         Session.set s (Gn.budget_name i) (Value.real (170.0 +. (30.0 *. float_of_int i))))
   in
-  let drive s = List.fold_left bind (Ok s) (List.init spec.Gn.ccs Fun.id) in
+  (* the family decision last, so the fallback walks the fam2 subtree *)
+  let drive s =
+    Result.bind
+      (List.fold_left bind (Ok s) (List.init spec.Gn.ccs Fun.id))
+      (fun s -> Session.set s Gn.family_issue (Value.str "fam2"))
+  in
   let health s = List.map (fun (cc, st) -> (cc, Guard.status_label st)) (Session.health s) in
   match (drive (mk true), drive (mk false)) with
   | Ok col, Ok naive ->
+    (* the descent's before-count came from the fallback sweep over the
+       fam2 cores at the root; the trail records it *)
+    Alcotest.(check bool) "gen inject: same trail" true (Session.events naive = Session.events col);
     for round = 1 to 3 do
       ignore (Session.candidates col);
       ignore (Session.candidates naive);
@@ -507,6 +545,92 @@ let test_generator_determinism () =
   in
   Alcotest.(check string) "reproducible signatures" (sign ()) (sign ())
 
+(* -------------------------------------------------------------------- *)
+(* Metamorphic properties of pruning on the generated layer: relations
+   between states, not a second implementation.  Each decision may only
+   prune (binding an unbound property never adds a candidate), a
+   decision and its retraction cancel out (the signature comes back),
+   and every candidate lies under the focus and matches every decided
+   issue.  Random seeded walks over the budgets, the family issue G1
+   and the plain issues Q0/Q1; a step the session refuses (already
+   bound, not yet addressable) is skipped.                               *)
+
+type meta_op = Bind of string * Value.t | Unbind of string
+
+let meta_op_name = function
+  | Bind (name, v) -> Printf.sprintf "set %s=%s" name (Value.to_string v)
+  | Unbind name -> "retract " ^ name
+
+let meta_op_gen =
+  let open QCheck2.Gen in
+  let fam = map (fun f -> Value.str (Printf.sprintf "fam%d" f)) (int_bound 3) in
+  let opt = map (fun o -> Value.str (Printf.sprintf "q%d" o)) (int_bound 3) in
+  frequency
+    [
+      (4, map2 (fun i v -> Bind (Gn.budget_name i, Value.real v)) (int_bound 3)
+            (float_range 60.0 360.0));
+      (2, map (fun v -> Bind (Gn.family_issue, v)) fam);
+      (2, map2 (fun q v -> Bind (Printf.sprintf "Q%d" q, v)) (int_bound 1) opt);
+      (2, map (fun n -> Unbind n)
+            (oneofl ([ Gn.family_issue; "Q0"; "Q1" ] @ List.init 4 Gn.budget_name)));
+    ]
+
+let test_metamorphic =
+  let spec = Gn.default_spec in
+  let master = lazy (Gn.session spec) in
+  let index = lazy (Index.build (Gn.hierarchy spec) (Gn.cores spec)) in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let check_candidates ctx s =
+    let focus = Session.focus s in
+    let issues =
+      List.filter (fun b -> Property.is_design_issue b.Session.prop) (Session.bindings s)
+    in
+    List.iter
+      (fun (qid, core) ->
+        (match Index.path_of (Lazy.force index) ~qualified_id:qid with
+        | Some path when List.filteri (fun i _ -> i < List.length focus) path = focus -> ()
+        | _ -> fail "%s: %s lies outside the focus %s" ctx qid (String.concat "." focus));
+        List.iter
+          (fun b ->
+            let key = b.Session.prop.Property.name and value = Value.to_string b.Session.value in
+            if not (Ds_reuse.Core.matches_property core ~key ~value) then
+              fail "%s: %s does not match %s=%s" ctx qid key value)
+          issues)
+      (Session.candidates s)
+  in
+  let walk ops =
+    let step s op =
+      let ctx = meta_op_name op in
+      match op with
+      | Unbind name -> (
+        match Session.retract s name with
+        | Error _ -> s
+        | Ok s' ->
+          check_candidates ctx s';
+          s')
+      | Bind (name, v) -> (
+        match Session.set s name v with
+        | Error _ -> s
+        | Ok s' ->
+          let before = Session.candidate_count s and after = Session.candidate_count s' in
+          if after > before then fail "%s: %d candidates grew to %d" ctx before after;
+          (match Session.retract s' name with
+          | Ok back ->
+            if Session.candidate_signature back <> Session.candidate_signature s then
+              fail "%s: retracting it did not restore the signature" ctx
+          | Error msg -> fail "%s: retract refused: %s" ctx msg);
+          check_candidates ctx s';
+          s')
+    in
+    ignore (List.fold_left step (Session.pristine (Lazy.force master)) ops);
+    true
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+    (QCheck2.Test.make ~count:60 ~name:"pruning is monotone and reversible"
+       ~print:(fun ops -> String.concat "; " (List.map meta_op_name ops))
+       QCheck2.Gen.(list_size (int_range 8 32) meta_op_gen)
+       walk)
+
 let () =
   Alcotest.run "equivalence"
     [
@@ -519,7 +643,10 @@ let () =
           Alcotest.test_case "synthetic walk" `Quick test_synthetic_walk;
         ] );
       ( "cache behaviour",
-        [ Alcotest.test_case "use_cache:false bypasses" `Quick test_naive_flag_bypasses ] );
+        [
+          Alcotest.test_case "use_cache:false bypasses" `Quick test_naive_flag_bypasses;
+          Alcotest.test_case "close reals keyed apart" `Quick test_close_reals_keyed_apart;
+        ] );
       ( "fault injection",
         [
           Alcotest.test_case "crypto CC6 raise" `Quick (test_injected_crypto Faultsim.Raise);
@@ -542,4 +669,5 @@ let () =
             test_generated_parallel_differential;
           Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
         ] );
+      ("metamorphic", [ test_metamorphic ]);
     ]

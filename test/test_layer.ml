@@ -280,7 +280,23 @@ let test_index_classification () =
   Alcotest.(check int) "under root" 6 (Index.count_under idx [ "Thing" ]);
   Alcotest.(check int) "under hw" 3 (Index.count_under idx [ "Thing"; "hw" ]);
   Alcotest.(check int) "at hw exactly" 0 (List.length (Index.at idx [ "Thing"; "hw" ]));
-  Alcotest.(check int) "under sw" 2 (Index.count_under idx [ "Thing"; "sw" ])
+  Alcotest.(check int) "under sw" 2 (Index.count_under idx [ "Thing"; "sw" ]);
+  (* the dense-id masks name exactly [under]'s entries, and each call
+     hands out a fresh mask *)
+  List.iter
+    (fun path ->
+      let qids bits = Bitset.map_true (fun i -> fst (Index.entry_at idx i)) bits in
+      let mask = Index.under_bits idx path in
+      Alcotest.(check (list string))
+        ("under_bits " ^ String.concat "." path)
+        (List.map fst (Index.under idx path))
+        (qids mask);
+      Bitset.filter_in_place (fun _ -> false) mask;
+      Alcotest.(check int)
+        ("under_bits fresh " ^ String.concat "." path)
+        (Index.count_under idx path)
+        (Bitset.count (Index.under_bits idx path)))
+    [ []; [ "Thing" ]; [ "Thing"; "hw" ]; [ "Thing"; "sw" ]; [ "Thing"; "nowhere" ] ]
 
 (* -------------------------------------------------------------------- *)
 (* Session                                                               *)
