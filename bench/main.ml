@@ -1066,9 +1066,8 @@ let micro_json ?(smoke = false) () =
         pareto_ms;
       add "      \"cache\": { \"verdict_hits\": %d, \"verdict_misses\": %d, \"hit_rate\": %.4f,\n"
         stats.Compliance.verdict_hits stats.Compliance.verdict_misses (Compliance.hit_rate stats);
-      add "                 \"survivor_hits\": %d, \"survivor_misses\": %d, \"generations\": %d },\n"
-        stats.Compliance.survivor_hits stats.Compliance.survivor_misses
-        stats.Compliance.generations;
+      add "                 \"survivor_hits\": %d, \"survivor_misses\": %d },\n"
+        stats.Compliance.survivor_hits stats.Compliance.survivor_misses;
       add "      \"gc\": { \"requery_naive\": %s,\n" (gc_json naive_gc);
       add "              \"requery_cached\": %s,\n" (gc_json cached_gc);
       add "              \"warm_query\": %s }\n" (gc_json warm_gc);

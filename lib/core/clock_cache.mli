@@ -1,7 +1,7 @@
 (** Bounded string-keyed cache with second-chance (clock) eviction.
 
     The compliance caches (survivor sets, merit summaries, signature
-    digests, generation memos) used to relieve memory pressure by
+    digests) used to relieve memory pressure by
     resetting the whole table at a cap — every live entry lost at once.
     This replaces that valve: at capacity each insert evicts exactly
     one entry that has not been touched since the clock hand last
@@ -11,7 +11,7 @@
 
     Eviction is always semantically safe for these caches: every entry
     is a memo whose key determines its value, so a lost entry costs a
-    recompute (or a fresh generation), never a wrong answer.
+    recompute, never a wrong answer.
 
     Not internally synchronized — callers hold their own lock. *)
 

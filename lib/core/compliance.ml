@@ -1,8 +1,8 @@
-(* One verdict slot per constraint.  The stamp is the (generation,
-   focus) pair the stored verdicts were computed under; a store with a
-   different stamp clears the slot first, so each constraint holds at
-   most one generation's verdicts (latest wins — interactive queries
-   revisit the current state, not past ones).
+(* One verdict slot per constraint.  The stamp is the constraint's
+   state key plus the focus the stored verdicts were computed under; a
+   store with a different stamp clears the slot first, so each
+   constraint holds at most one state's verdicts (latest wins —
+   interactive queries revisit the current state, not past ones).
 
    Verdicts are packed two bits per core (0 = unknown, 1 = inferior,
    2 = kept), sixteen cores per [int array] word, indexed by dense core
@@ -22,20 +22,19 @@
    by the sweep as id bitsets and written back in one
    {!Slot.merge_bits} — which re-checks the stamp, so a sweep that
    overlapped an invalidation discards its write-back instead of
-   poisoning the new generation.  A lockless reader sees each word
+   poisoning the new state.  A lockless reader sees each word
    atomically (OCaml array elements never tear), and every word a
    racing merge can publish holds only codes that sweep would itself
    compute (closures are deterministic), so racing merges at one stamp
    are idempotent.
 
-   The memo tables (survivor sets, merit summaries, signature digests,
-   generation numbers) are bounded by second-chance {!Clock_cache}s:
+   The memo tables (survivor sets, merit summaries, signature digests)
+   are bounded by second-chance {!Clock_cache}s:
    past capacity each insert evicts one cold entry — observable through
    the [dse_engine_*_evictions_total] counters — instead of the
    whole-table reset the first version used.  Eviction is always safe:
    every entry is a memo whose key determines its value, so a lost
-   entry costs a recompute (or a fresh generation), never a wrong
-   answer. *)
+   entry costs a recompute, never a wrong answer. *)
 module Obs = Ds_obs.Obs
 
 (* Process-wide cache traffic, aggregated across every lineage's cache
@@ -48,11 +47,9 @@ let m_survivor_misses = Obs.counter Obs.default "dse_engine_survivor_cache_misse
 let m_survivor_evictions = Obs.counter Obs.default "dse_engine_survivor_evictions_total"
 let m_summary_evictions = Obs.counter Obs.default "dse_engine_summary_evictions_total"
 let m_signature_evictions = Obs.counter Obs.default "dse_engine_signature_evictions_total"
-let m_gen_evictions = Obs.counter Obs.default "dse_engine_gen_evictions_total"
 
 type slot = {
-  mutable gen : int;
-  mutable focus : string;
+  mutable stamp : string; (* constraint state key + focus *)
   mutable verdicts : int array; (* 16 two-bit codes per word, by core id *)
 }
 
@@ -66,12 +63,6 @@ type t = {
   slots : (string, slot) Hashtbl.t; (* constraint name -> verdicts *)
   survivors : survivors Clock_cache.t;
       (* full state signature -> surviving candidates *)
-  gens : int Clock_cache.t;
-      (* constraint-state key (constraint name + the values of every
-         property it mentions) -> the generation minted for that state.
-         Re-entering a state reuses its generation, so the state
-         signature — and with it the survivor table — recognises
-         revisited states instead of treating each visit as new. *)
   summaries : Evaluation.merit_summary Clock_cache.t;
       (* state signature + merit name -> that state's merit summary.
          Merit values are immutable per core and the candidate set is a
@@ -83,7 +74,6 @@ type t = {
          spares a revisited state that whole-pool walk.  The stored
          value is exactly what the full computation produced, so
          journal signatures stay bit-identical. *)
-  mutable next_gen : int;
   mutable verdict_hits : int;
   mutable verdict_misses : int;
   mutable survivor_hits : int;
@@ -97,12 +87,6 @@ type t = {
    unaffected). *)
 let max_survivor_entries = 128
 
-(* Same pressure bound for the generation memo: an evicted state simply
-   mints a fresh generation on revisit (a cache miss, never a wrong
-   answer — distinct states can never share a generation because the
-   key embeds the constraint's relevant binding values). *)
-let max_gen_entries = 1024
-
 let create () =
   {
     lock = Mutex.create ();
@@ -110,10 +94,6 @@ let create () =
     survivors =
       Clock_cache.create ~capacity:max_survivor_entries
         ~on_evict:(fun () -> Obs.incr m_survivor_evictions)
-        ();
-    gens =
-      Clock_cache.create ~capacity:max_gen_entries
-        ~on_evict:(fun () -> Obs.incr m_gen_evictions)
         ();
     summaries =
       Clock_cache.create ~capacity:max_survivor_entries
@@ -123,7 +103,6 @@ let create () =
       Clock_cache.create ~capacity:max_survivor_entries
         ~on_evict:(fun () -> Obs.incr m_signature_evictions)
         ();
-    next_gen = 0;
     verdict_hits = 0;
     verdict_misses = 0;
     survivor_hits = 0;
@@ -140,26 +119,11 @@ let locked t f =
     Mutex.unlock t.lock;
     raise e
 
-let fresh_generation t =
-  locked t (fun () ->
-      t.next_gen <- t.next_gen + 1;
-      t.next_gen)
-
-let generation_for t ~key =
-  locked t (fun () ->
-      match Clock_cache.find t.gens key with
-      | Some gen -> gen
-      | None ->
-        t.next_gen <- t.next_gen + 1;
-        Clock_cache.store t.gens key t.next_gen;
-        t.next_gen)
-
 module Slot = struct
   type nonrec t = {
     cache : t;
     slot : slot;
-    gen : int; (* the stamp this handle was resolved at *)
-    focus : string;
+    stamp : string; (* the stamp this handle was resolved at *)
   }
 
   let codes_per_word = 16
@@ -195,14 +159,14 @@ module Slot = struct
     s.cache.verdict_hits <- s.cache.verdict_hits + hits;
     s.cache.verdict_misses <- s.cache.verdict_misses + misses
 
-  let stamp_live s = s.slot.gen = s.gen && String.equal s.slot.focus s.focus
+  let stamp_live s = String.equal s.slot.stamp s.stamp
 
   (* The one write-back: [touched]/[inferior_bits] are bitsets over the
      dense-id universe, so each 32-id word updates its two verdict
      words with five logical ops — no per-core loop.  An invalidation
-     (fresh generation or focus move) between this sweep's [view] and
-     now makes its verdicts stale: they are dropped, the counters
-     still count. *)
+     (a restamp by a query in another state) between this sweep's
+     [view] and now makes its verdicts stale: they are dropped, the
+     counters still count. *)
   let merge_bits s ~touched ~inferior_bits ~hits ~misses =
     locked s.cache (fun () ->
         record_counters s ~hits ~misses;
@@ -232,24 +196,23 @@ end
 
 let words_for n = (n + Slot.codes_per_word - 1) / Slot.codes_per_word
 
-let slot ~universe t ~cc ~gen ~focus =
+let slot ~universe t ~cc ~stamp =
   locked t (fun () ->
       let need = words_for universe in
       let s =
         match Hashtbl.find_opt t.slots cc with
         | Some s ->
-          if s.gen <> gen || not (String.equal s.focus focus) then begin
+          if not (String.equal s.stamp stamp) then begin
             (* the old stamp's verdicts are unreachable under
-               latest-generation-wins; drop them now.  A fresh buffer
-               (not a fill) so a sweep still reading the old one keeps a
+               latest-state-wins; drop them now.  A fresh buffer (not a
+               fill) so a sweep still reading the old one keeps a
                consistent view of the stamp it resolved. *)
             s.verdicts <- Array.make (Stdlib.max 4 need) Slot.unknown;
-            s.gen <- gen;
-            s.focus <- focus
+            s.stamp <- stamp
           end;
           s
         | None ->
-          let s = { gen; focus; verdicts = [||] } in
+          let s = { stamp; verdicts = [||] } in
           Hashtbl.add t.slots cc s;
           s
       in
@@ -262,7 +225,7 @@ let slot ~universe t ~cc ~gen ~focus =
         Array.blit s.verdicts 0 v' 0 (Array.length s.verdicts);
         s.verdicts <- v'
       end;
-      { Slot.cache = t; slot = s; gen; focus })
+      { Slot.cache = t; slot = s; stamp })
 
 let find_survivor_set t ~key =
   locked t (fun () ->
@@ -302,7 +265,6 @@ type stats = {
   verdict_misses : int;
   survivor_hits : int;
   survivor_misses : int;
-  generations : int;
   evictions : int;
 }
 
@@ -313,10 +275,8 @@ let stats (t : t) =
         verdict_misses = t.verdict_misses;
         survivor_hits = t.survivor_hits;
         survivor_misses = t.survivor_misses;
-        generations = t.next_gen;
         evictions =
           Clock_cache.evictions t.survivors
-          + Clock_cache.evictions t.gens
           + Clock_cache.evictions t.summaries
           + Clock_cache.evictions t.signatures;
       })

@@ -6,10 +6,13 @@
     exactly which constraints a binding change can affect: those whose
     declared independent/dependent sets mention the changed property.
     This table exploits that: every elimination verdict ([Eliminate]
-    closure applied to one core) is memoized under a {e generation}
-    number, and a binding change allocates a fresh generation only for
-    the constraints it re-opens, so verdicts of untouched constraints
+    closure applied to one core) is memoized under the constraint's
+    {e state key} — its name plus the value (or absence) of every
+    property it mentions — so a binding change moves only the keys of
+    the constraints it re-opens, and verdicts of untouched constraints
     survive across decisions, retractions and exploration branches.
+    Re-entering a visited state reproduces its keys, so the survivor
+    cache (keyed by them) serves the revisit without a sweep.
 
     Verdicts are stored {e columnar}: two bits per core (unknown /
     inferior / kept), sixteen cores per word of a flat [int array]
@@ -24,13 +27,13 @@
     it declares in its independent or dependent set.  (This is the same
     contract {!Consistency} documents for the partial order; a closure
     that reads undeclared properties can observe a binding change that
-    never bumps its generation.)  The equivalence test suite checks the
+    never moves its state key.)  The equivalence test suite checks the
     cached path against the naive recompute for all shipped case
     studies.
 
-    Generations are drawn from one shared counter, never reused: two
-    exploration branches that each rebind the same property get distinct
-    generations, so their verdicts cannot collide in the table.
+    A key names its state exactly (it embeds the values, reals by their
+    bits), so two exploration branches that bind a property differently
+    never share verdicts; two that bind it alike share them rightly.
 
     Interaction with {!Guard} quarantine is conservative by
     construction: the session skips quarantined constraints {e before}
@@ -43,9 +46,9 @@
     One table serves a whole session lineage (created by
     [Session.create], shared by every derived session), like the guard
     registry.  Memory is bounded: each constraint keeps verdicts for a
-    single (generation, focus) stamp — a store under a newer stamp
+    single (state key, focus) stamp — a store under another stamp
     drops the older verdicts — and the memo tables (survivors,
-    summaries, signatures, generations) are second-chance clock caches
+    summaries, signatures) are second-chance clock caches
     that evict one cold entry per insert past capacity (counted by the
     [dse_engine_*_evictions_total] telemetry) instead of resetting
     wholesale.  Eviction is always safe: each entry is a memo whose key
@@ -70,21 +73,6 @@
 type t
 
 val create : unit -> t
-
-val fresh_generation : t -> int
-(** A generation number never handed out before (> 0; every constraint
-    starts at generation 0). *)
-
-val generation_for : t -> key:string -> int
-(** The generation memoized for [key] — a constraint-state key built
-    from the constraint's name and the values of every property it
-    mentions — minting (and recording) a fresh one on first sight.
-    Re-entering a previously-visited binding state therefore reproduces
-    the generation minted there, which lets state signatures (and the
-    survivor cache keyed by them) recognise revisited states.  Distinct
-    states never share a generation: the key embeds the values.  The
-    memo is bounded by clock eviction; an evicted state costs one fresh
-    sweep on revisit. *)
 
 (** One constraint's verdict table, resolved (and restamped) once per
     query so the per-core cost is an array read by dense id. *)
@@ -122,14 +110,15 @@ module Slot : sig
       iff the same bit of [inferior_bits] is set.  Each 32-id word
       updates its two verdict words with a constant number of logical
       ops.  If the slot was restamped since the handle was resolved,
-      the verdicts are dropped — they describe a dead generation — but
-      the counters still count. *)
+      the verdicts are dropped — they describe another state — but the
+      counters still count. *)
 end
 
-val slot : universe:int -> t -> cc:string -> gen:int -> focus:string -> Slot.t
-(** The verdict table of constraint [cc] stamped (generation, focus).
-    A stamp different from the stored one drops the constraint's
-    previous verdicts first (latest-generation-wins: interactive
+val slot : universe:int -> t -> cc:string -> stamp:string -> Slot.t
+(** The verdict table of constraint [cc] stamped [stamp] — sessions
+    pass the focus and the constraint's state key, which together fix
+    every verdict.  A stamp different from the stored one drops the
+    constraint's previous verdicts first (latest-state-wins: interactive
     exploration revisits the current state, not past ones).  The
     returned view covers every id below [universe] — sessions pass the
     index size. *)
@@ -177,8 +166,7 @@ type stats = {
   verdict_misses : int;  (** includes first-ever evaluations *)
   survivor_hits : int;
   survivor_misses : int;
-  generations : int;  (** fresh generations allocated (invalidations) *)
-  evictions : int;  (** clock-cache evictions across all four memos *)
+  evictions : int;  (** clock-cache evictions across the three memos *)
 }
 
 val stats : t -> stats

@@ -1,32 +1,25 @@
 module Core = Ds_reuse.Core
 
-(* The index is a trie over hierarchy node paths.  Classification is
-   unchanged (each core descends the generalized-issue chain as far as
-   its property values allow); what changed is the query side: [under],
-   [at] and [count_under] used to scan the full entry list with a
-   path-prefix test per entry, which made every candidate query O(n) in
-   the library size.  The trie resolves a node in O(depth) and each
-   frozen node carries its subtree's entries (precomputed once at
-   build), so [under] is O(depth + matches) and [count_under] is
-   O(depth). *)
-
-type entry = { qid : string; core : Core.t; seq : int }
+(* The index is a trie over hierarchy node paths whose nodes are dense-id
+   masks over the one entry array, the {!Columnar} store.  Each core
+   descends the generalized-issue chain as far as its property values
+   allow and gets the next dense id (insertion order); every node on its
+   path sets that id's bit.  A node resolves in O(depth); [under] maps
+   the node's mask through the entry array in ascending-id order, which
+   is insertion order, so it needs no per-node list.  [count_under] is
+   the mask's popcount and [at] the mask minus the children's masks. *)
 
 type node = {
-  here : (string * Core.t) list;  (* indexed exactly at this node, insertion order *)
   children : (string, node) Hashtbl.t;
-  subtree : (string * Core.t) list;  (* at or below, insertion order *)
-  subtree_bits : Bitset.t;  (* dense ids of [subtree], over the universe *)
-  count : int;  (* List.length subtree *)
+  subtree_bits : Bitset.t;  (* dense ids indexed at or below, over the universe *)
 }
 
 type t = {
-  root : node option;  (* None for an empty population *)
+  root : node;
   root_name : string;
   orphans : (string * Core.t) list;
-  all : (string * Core.t) list;  (* every indexed entry, insertion order *)
   paths : (string, string list) Hashtbl.t;  (* qualified id -> node path *)
-  store : Columnar.t;  (* flat per-property/per-merit columns, by dense id *)
+  store : Columnar.t;  (* the (qid, core) entries and their columns, by dense id *)
 }
 
 (* Descend from the root as far as the core's property values allow:
@@ -51,107 +44,65 @@ let classify hierarchy core =
   in
   go [] (Hierarchy.root hierarchy)
 
-(* Build-time trie: mutable, frozen into [node] once every core is
-   placed. *)
-type builder = {
-  mutable here_rev : entry list;
-  kids : (string, builder) Hashtbl.t;
-}
+let fresh_node universe = { children = Hashtbl.create 4; subtree_bits = Bitset.create universe }
 
-let fresh_builder () = { here_rev = []; kids = Hashtbl.create 4 }
-
-let rec insert builder entry = function
-  | [] -> builder.here_rev <- entry :: builder.here_rev
+let rec insert ~universe node id path =
+  Bitset.set node.subtree_bits id;
+  match path with
+  | [] -> ()
   | seg :: rest ->
     let child =
-      match Hashtbl.find_opt builder.kids seg with
+      match Hashtbl.find_opt node.children seg with
       | Some child -> child
       | None ->
-        let child = fresh_builder () in
-        Hashtbl.add builder.kids seg child;
+        let child = fresh_node universe in
+        Hashtbl.add node.children seg child;
         child
     in
-    insert child entry rest
-
-(* Returns the frozen node plus its subtree's entries (unsorted); the
-   per-node [subtree] list is re-sorted by insertion number so query
-   results keep the registry order the old linear scan produced.
-   [universe] is the number of indexed entries, the length of every
-   node's id mask. *)
-let rec freeze ~universe builder =
-  let children = Hashtbl.create (Hashtbl.length builder.kids) in
-  let below =
-    Hashtbl.fold
-      (fun seg child acc ->
-        let child_node, child_entries = freeze ~universe child in
-        Hashtbl.add children seg child_node;
-        List.rev_append child_entries acc)
-      builder.kids []
-  in
-  let entries = List.rev_append builder.here_rev below in
-  let in_order = List.sort (fun a b -> compare a.seq b.seq) entries in
-  let strip es = List.map (fun e -> (e.qid, e.core)) es in
-  let subtree_bits = Bitset.create universe in
-  List.iter (fun e -> Bitset.set subtree_bits e.seq) entries;
-  let node =
-    {
-      here = strip (List.rev builder.here_rev);
-      children;
-      subtree = strip in_order;
-      subtree_bits;
-      count = List.length in_order;
-    }
-  in
-  (node, entries)
+    insert ~universe child id rest
 
 let build hierarchy cores =
   let root_name = (Hierarchy.root hierarchy).Cdo.name in
-  let builder = fresh_builder () in
   let paths = Hashtbl.create (List.length cores) in
-  let seq = ref 0 in
-  let entries_rev, orphans_rev =
+  let placed_rev, orphans_rev =
     List.fold_left
-      (fun (entries, orphans) (qid, core) ->
+      (fun (placed, orphans) ((qid, core) as entry) ->
         match classify hierarchy core with
         | Some path ->
-          let entry = { qid; core; seq = !seq } in
-          incr seq;
-          (* path always starts at the root node; store the suffix below
-             the root in the trie *)
-          (match path with
-          | r :: rest when String.equal r root_name -> insert builder entry rest
-          | other -> insert builder entry other);
           if not (Hashtbl.mem paths qid) then Hashtbl.add paths qid path;
-          ((qid, core) :: entries, orphans)
-        | None -> (entries, (qid, core) :: orphans))
+          ((entry, path) :: placed, orphans)
+        | None -> (placed, entry :: orphans))
       ([], []) cores
   in
-  let root, _ = freeze ~universe:!seq builder in
-  let all = List.rev entries_rev in
+  (* dense ids are positions in insertion order *)
+  let placed = Array.of_list (List.rev placed_rev) in
+  let universe = Array.length placed in
+  let root = fresh_node universe in
+  Array.iteri
+    (fun id (_, path) ->
+      (* path always starts at the root node; the trie holds the suffix
+         below it *)
+      match path with
+      | r :: rest when String.equal r root_name -> insert ~universe root id rest
+      | other -> insert ~universe root id other)
+    placed;
   (* The columnar projection is built eagerly with the trie: layers are
      built once and shared across session lineages ([Session.pristine],
      the service's parsed-layer cache), so the column pass amortizes
-     like the index itself.  Dense ids are the insertion-order [seq]
-     numbers, so [all], every [subtree] and every bitset materialize in
-     the same order. *)
-  let entries = Array.of_list all in
-  assert (Array.length entries = !seq);
+     like the index itself. *)
   {
-    root = Some root;
+    root;
     root_name;
     orphans = List.rev orphans_rev;
-    all;
     paths;
-    store = Columnar.build entries;
+    store = Columnar.build (Array.map fst placed);
   }
 
 let path_of t ~qualified_id = Hashtbl.find_opt t.paths qualified_id
 
-let resolve t path =
-  match (t.root, path) with
-  | None, _ -> None
-  | Some root, [] -> Some root
-  | Some root, first :: rest ->
+let resolve t = function
+  | [] -> Some t.root
+  | first :: rest ->
     if not (String.equal first t.root_name) then None
     else begin
       let rec walk node = function
@@ -161,21 +112,29 @@ let resolve t path =
           | Some child -> walk child rest
           | None -> None)
       in
-      walk root rest
+      walk t.root rest
     end
 
-let under t path =
-  (* [] matched every entry under the old prefix test; keep that. *)
-  if path = [] then t.all
-  else match resolve t path with Some node -> node.subtree | None -> []
+let entries t bits = Bitset.map_true (Columnar.entry t.store) bits
 
-let at t path = match resolve t path with Some node when path <> [] -> node.here | _ -> []
+(* [resolve] maps the empty path to the root, so [under t []] is every
+   indexed entry, as under the old prefix test. *)
+let under t path = match resolve t path with Some node -> entries t node.subtree_bits | None -> []
+
+let at t path =
+  match resolve t path with
+  | Some node when path <> [] ->
+    let here = Bitset.copy node.subtree_bits in
+    Hashtbl.iter
+      (fun _ child -> Bitset.filter_in_place (fun i -> not (Bitset.mem child.subtree_bits i)) here)
+      node.children;
+    entries t here
+  | Some _ | None -> []
 
 let count_under t path =
-  if path = [] then List.length t.all
-  else match resolve t path with Some node -> node.count | None -> 0
+  match resolve t path with Some node -> Bitset.count node.subtree_bits | None -> 0
 
-let all t = t.all
+let all t = entries t t.root.subtree_bits
 let unindexed t = t.orphans
 
 (* {2 Columnar access} — the dense-id view of the same entries. *)
@@ -184,7 +143,6 @@ let size t = Columnar.length t.store
 let columnar t = t.store
 let entry_at t i = Columnar.entry t.store i
 
-(* [resolve] maps the empty path to the root, whose mask is full *)
 let under_bits t path =
   match resolve t path with
   | Some node -> Bitset.copy node.subtree_bits

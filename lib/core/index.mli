@@ -7,7 +7,12 @@
     property bindings: a hardware Montgomery multiplier lands on the
     OMM-HM leaf, a software routine on the Software subtree, and a core
     that does not declare some issue stays at the last node it
-    matched. *)
+    matched.
+
+    The index holds each indexed (qualified id, core) pair once, in the
+    {!Columnar} store's entry array; a trie node is a mask of dense ids
+    over that array, so every list below is built afresh from a mask
+    and shares the stored pairs. *)
 
 type t
 
@@ -20,13 +25,18 @@ val path_of : t -> qualified_id:string -> string list option
 
 val under : t -> string list -> (string * Ds_reuse.Core.t) list
 (** All cores indexed at or below the given node path, in insertion
-    order. *)
+    order; every indexed core for the empty path, none for a path that
+    names no node. *)
 
 val at : t -> string list -> (string * Ds_reuse.Core.t) list
-(** Cores indexed exactly at the node. *)
+(** Cores indexed exactly at the node, in insertion order (none for
+    the empty path). *)
 
 val count_under : t -> string list -> int
+(** [List.length (under t path)], by popcount of the node's mask. *)
+
 val all : t -> (string * Ds_reuse.Core.t) list
+(** Every indexed core (orphans excluded), in insertion order. *)
 
 val unindexed : t -> (string * Ds_reuse.Core.t) list
 (** Cores whose root-level generalized option did not match any child —
@@ -38,9 +48,10 @@ val unindexed : t -> (string * Ds_reuse.Core.t) list
     Every indexed entry carries a dense id in [0, size) — its insertion
     order — which is the index into the {!Columnar} store and the one
     id space of the columnar sweep: its pool masks, verdict slots and
-    survivor bitsets all use it.  [under] lists a node's entries in
-    ascending-id order, so a bitset materialized in ascending-id order
-    reproduces [under]'s list order exactly. *)
+    survivor bitsets all use it, and so do the trie's node masks.
+    [under] lists a node's entries in ascending-id order, so a bitset
+    materialized in ascending-id order reproduces [under]'s list order
+    exactly. *)
 
 val size : t -> int
 (** Number of indexed entries (orphans excluded). *)
@@ -52,9 +63,9 @@ val under_bits : t -> string list -> Bitset.t
     is set. *)
 
 val entry_at : t -> int -> string * Ds_reuse.Core.t
-(** The (qualified id, core) entry of a dense id — the same physical
-    pair [under] lists, so materializing a survivor set allocates only
-    the list cells. *)
+(** The (qualified id, core) entry of a dense id — the pair passed to
+    {!build} and the same physical pair [under] lists, so materializing
+    a survivor set allocates only the list cells. *)
 
 val columnar : t -> Columnar.t
 (** The flat per-property/per-merit columns over the indexed entries,

@@ -65,13 +65,9 @@ type t = {
          is faulty on every exploration branch, so quarantine carries
          across branches (and is monotone) *)
   cache : Compliance.t;
-      (* shared like [guard]; per-branch generations keep entries
-         disjoint where branches diverge *)
+      (* shared like [guard]; entries are keyed by constraint state, so
+         branches that diverge never share one *)
   use_cache : bool;
-  gens : (string * int) list;
-      (* constraint name -> verdict generation on this branch; absent =
-         0.  Bumped (to a globally fresh number) when a binding of a
-         property the constraint declares changes. *)
 }
 
 let create ~hierarchy ?(constraints = []) ?(use_cache = true) ~cores () =
@@ -85,13 +81,12 @@ let create ~hierarchy ?(constraints = []) ?(use_cache = true) ~cores () =
     guard = Guard.registry ();
     cache = Compliance.create ();
     use_cache;
-    gens = [];
   }
 
 (* A fresh session over an already-built layer: shares the immutable
    structure (hierarchy, constraints, candidate index) but none of the
    mutable lineage state (guard registry, verdict cache, trail,
-   bindings, generations).  Observably identical to [create] over the
+   bindings).  Observably identical to [create] over the
    same inputs, minus the index build — what makes caching parsed
    layers across service sessions safe. *)
 let pristine t =
@@ -102,7 +97,6 @@ let pristine t =
     trail = Trail.empty ();
     guard = Guard.registry ();
     cache = Compliance.create ();
-    gens = [];
   }
 
 let hierarchy t = t.hierarchy
@@ -142,22 +136,6 @@ let quarantined_cc t cc = Guard.quarantined t.guard cc.Consistency.name
 let record_fault t cc ~op fault =
   ignore (Guard.record t.guard ~cc:cc.Consistency.name ~op fault)
 
-(* {2 Verdict generations}
-
-   Each constraint carries a per-branch generation number; memoized
-   elimination verdicts are only valid at the generation they were
-   computed under.  A binding change re-opens exactly the constraints
-   whose declared independent or dependent set mentions the property
-   (the paper's re-assessment rule), by moving them to a globally fresh
-   generation. *)
-
-let generation_of t cc_name =
-  match List.assoc_opt cc_name t.gens with Some g -> g | None -> 0
-
-let cc_mentions cc name =
-  let refs_name = List.exists (fun p -> String.equal p.Propref.property name) in
-  refs_name cc.Consistency.indep || refs_name cc.Consistency.dep
-
 let value_signature = function
   (* kind-tagged so e.g. [Str "8."] and [Real 8.] cannot collide *)
   | Value.Str s -> "s" ^ s
@@ -167,23 +145,22 @@ let value_signature = function
 
 (* The cache keys ([cc_state_key], [state_signature]) must name a state
    exactly, so they take reals by their bits: [string_of_float] keeps 12
-   significant digits, and two budgets that print alike would share a
-   generation and a survivor set.  [candidate_signature]'s observable
+   significant digits, and two budgets that print alike would share
+   verdicts and a survivor set.  [candidate_signature]'s observable
    prefix keeps [value_signature], so journal bytes do not move. *)
 let value_key = function
   | Value.Real f -> Printf.sprintf "r%h" f
   | (Value.Str _ | Value.Int _ | Value.Flag _) as v -> value_signature v
 
-(* The state key a constraint's generation is memoized on: its name
-   plus the current value (or absence) of every property it mentions.
-   Generations exist to invalidate memoized verdicts when a relevant
-   binding changes; keying them on the relevant values themselves means
-   re-entering a previously-visited state (undo/redo, A/B comparison
-   loops) reuses the generation minted there instead of minting a fresh
-   one — so the state signature recurs and the survivor cache serves
-   the revisit without a sweep.  Distinct value states still get
-   distinct generations (the key embeds the values), which preserves
-   the invariant that one generation = one assessment context. *)
+(* A constraint's cache identity: its name plus the current value (or
+   absence) of every property it mentions.  The paper's re-assessment
+   rule names exactly the constraints a binding change can affect —
+   those that mention the property — and those are exactly the keys the
+   change moves, so memoized verdicts are stamped with the key and stay
+   valid while it stands.  Re-entering a previously-visited state
+   (undo/redo, A/B comparison loops) reproduces the key, so the state
+   signature recurs and the survivor cache serves the revisit without a
+   sweep. *)
 let cc_state_key t cc =
   let buf = Buffer.create 64 in
   Buffer.add_string buf cc.Consistency.name;
@@ -198,21 +175,6 @@ let cc_state_key t cc =
   List.iter add cc.Consistency.indep;
   List.iter add cc.Consistency.dep;
   Buffer.contents buf
-
-let bump_generations t name =
-  if not t.use_cache then t
-  else begin
-    let gens =
-      List.fold_left
-        (fun gens cc ->
-          if cc_mentions cc name then
-            (cc.Consistency.name, Compliance.generation_for t.cache ~key:(cc_state_key t cc))
-            :: List.remove_assoc cc.Consistency.name gens
-          else gens)
-        t.gens t.constraints
-    in
-    { t with gens }
-  end
 
 let ancestor_paths t =
   let rec prefixes acc cur = function
@@ -320,17 +282,15 @@ let derive_fixpoint t =
                                 ("name", name);
                                 ("value", Value.to_string value);
                               ];
-                        bump_generations
-                          {
-                            t with
-                            bindings =
-                              { defined_at; prop; value; source = Derived cc.Consistency.name }
-                              :: t.bindings;
-                            trail =
-                              Trail.push t.trail
-                                (Binding_derived { name; value; by = cc.Consistency.name });
-                          }
-                          name
+                        {
+                          t with
+                          bindings =
+                            { defined_at; prop; value; source = Derived cc.Consistency.name }
+                            :: t.bindings;
+                          trail =
+                            Trail.push t.trail
+                              (Binding_derived { name; value; by = cc.Consistency.name });
+                        }
                       end
                       else t))
                 t values)
@@ -401,9 +361,10 @@ let focus_key t = String.concat "." t.focus
 
 (* Everything the candidate set depends on: the focus, the design-issue
    bindings (compliance filter), and per elimination constraint its
-   verdict generation (covers binding changes to declared properties)
-   and quarantine flag (quarantine is monotone, so a pre-quarantine
-   signature can never recur and serve a stale set). *)
+   quarantine flag (quarantine is monotone, so a pre-quarantine
+   signature can never recur and serve a stale set) and state key (the
+   values of its declared properties).  The flag precedes the key so a
+   key ending in a string value cannot absorb it. *)
 let state_signature t =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (focus_key t);
@@ -420,10 +381,8 @@ let state_signature t =
       match cc.Consistency.relation with
       | Consistency.Eliminate _ ->
         Buffer.add_char buf '|';
-        Buffer.add_string buf cc.Consistency.name;
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (string_of_int (generation_of t cc.Consistency.name));
-        if quarantined_cc t cc then Buffer.add_char buf 'q'
+        Buffer.add_char buf (if quarantined_cc t cc then 'q' else ':');
+        Buffer.add_string buf (cc_state_key t cc)
       | Consistency.Inconsistent _ | Consistency.Derive _ | Consistency.Estimator_context _ -> ())
     t.constraints;
   Buffer.contents buf
@@ -567,8 +526,7 @@ let candidates_bits_memo t =
            (fun (cc, inferior, vectorized) ->
              let slot =
                Compliance.slot ~universe t.cache ~cc:cc.Consistency.name
-                 ~gen:(generation_of t cc.Consistency.name)
-                 ~focus:fkey
+                 ~stamp:(fkey ^ "@" ^ cc_state_key t cc)
              in
              let kernel =
                (* kernel resolution is layer code too: a throw here just
@@ -837,13 +795,11 @@ let set_with_source_unspanned t name value source =
         else Decision_made { name; value }
       in
       let t' =
-        bump_generations
-          {
-            t with
-            bindings = { defined_at; prop; value; source } :: t.bindings;
-            trail = Trail.push t.trail event;
-          }
-          name
+        {
+          t with
+          bindings = { defined_at; prop; value; source } :: t.bindings;
+          trail = Trail.push t.trail event;
+        }
       in
       match active_violations t' with
       | { Consistency.message; _ } :: _ -> Error message
@@ -991,8 +947,6 @@ let retract_unspanned t name =
           trail = Trail.push t.trail (Binding_retracted { name; invalidated });
         }
       in
-      (* every dropped binding re-opens the constraints that mention it *)
-      let t' = List.fold_left bump_generations t' (name :: invalidated) in
       Ok (derive_fixpoint t'))
 
 let retract t name =
@@ -1027,11 +981,11 @@ let estimates t =
     t.constraints
 
 (* The designer-visible state, digested.  Unlike [state_signature]
-   (cache-keying, includes verdict generations that differ between
-   lineages), this covers exactly what a client of the exploration
-   service can observe: focus, all bindings with their sources, and the
-   candidate ids.  Replaying a journal into a fresh lineage must
-   reproduce it bit for bit. *)
+   (cache-keying: constraint state keys and quarantine flags), this
+   covers exactly what a client of the exploration service can observe:
+   focus, all bindings with their sources, and the candidate ids.
+   Replaying a journal into a fresh lineage must reproduce it bit for
+   bit. *)
 let candidate_signature t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (focus_key t);

@@ -86,8 +86,8 @@ val pristine : t -> t
 (** A fresh session over an existing session's layer: shares the
     immutable structure (hierarchy, constraints and the built candidate
     index — the expensive part of {!create}) and nothing else.  Focus
-    returns to the root; bindings, trail, guard registry, compliance
-    cache and generations start empty, so the result is observably
+    returns to the root; bindings, trail, guard registry and compliance
+    cache start empty, so the result is observably
     identical to a new {!create} over the same inputs.  The exploration
     service uses this to hand each session a private lineage from one
     cached parsed layer. *)
@@ -215,8 +215,8 @@ val candidate_signature : t -> string
     when a designer could not tell them apart by querying focus,
     bindings or candidates — the check the exploration service's
     journal replay is verified against (see {!Ds_serve.Journal}).
-    Cache internals (verdict generations, hit counters) never enter the
-    digest, so a cached and an uncached lineage that agree on the
+    Cache internals (constraint state keys, hit counters) never enter
+    the digest, so a cached and an uncached lineage that agree on the
     visible state sign identically. *)
 
 val script : t -> (string * Value.t) list

@@ -168,8 +168,12 @@ let test_bitset_structure () =
 
 let universe = 70 (* crosses two bitset words and five verdict words *)
 
-let fresh_slot ?(cc = "CC") t =
-  Compliance.slot ~universe t ~cc ~gen:(Compliance.fresh_generation t) ~focus:"/"
+(* Each call stamps the slot with a state never used before. *)
+let fresh_slot =
+  let stamps = ref 0 in
+  fun t ->
+    incr stamps;
+    Compliance.slot ~universe t ~cc:"CC" ~stamp:(Printf.sprintf "state %d" !stamps)
 
 (* Write [(id, inferior)] verdicts back through the one bitset merge. *)
 let merge_verdicts s verdicts ~hits ~misses =
@@ -281,7 +285,7 @@ let test_slot_merge_bits_identity () =
 let test_slot_restamp_drops () =
   let t = Compliance.create () in
   let stale = fresh_slot t in
-  (* same constraint, newer generation: restamps the slot *)
+  (* same constraint, another state: restamps the slot *)
   let live = fresh_slot t in
   merge_verdicts stale [ (1, true); (2, false) ] ~hits:0 ~misses:2;
   Alcotest.(check (option bool)) "stale merge dropped" None

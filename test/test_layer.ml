@@ -298,6 +298,84 @@ let test_index_classification () =
         (Bitset.count (Index.under_bits idx path)))
     [ []; [ "Thing" ]; [ "Thing"; "hw" ]; [ "Thing"; "sw" ]; [ "Thing"; "nowhere" ] ]
 
+(* Every node of a generated trie answers [under], [at], [count_under]
+   and [all] exactly as a scan of the input list by [path_of] does, with
+   the input's own pairs in input order.  Some cores are altered to stop
+   above a leaf (a level issue undeclared, or an option the hierarchy
+   does not model) and some to fall outside the space (an unmodelled
+   root option), so [at] sees interior nodes and orphans are excluded. *)
+let test_index_every_node () =
+  let module Syn = Ds_domains.Synthetic in
+  let spec = Syn.default_spec in
+  let hierarchy = Syn.hierarchy spec in
+  let alter i ((qid, core) as entry) =
+    let level = i mod 4 in
+    if level = 0 then entry
+    else begin
+      (* the generated layer's level-[level] generalized issue *)
+      let issue = Printf.sprintf "L%d" level in
+      let properties =
+        if i mod 3 = 0 then List.remove_assoc issue core.Core.properties
+        else
+          List.map
+            (fun (k, v) -> if String.equal k issue then (k, "unmodelled") else (k, v))
+            core.Core.properties
+      in
+      ( qid,
+        Core.make_exn ~id:core.Core.id ~name:core.Core.name ~provider:core.Core.provider
+          ~kind:core.Core.kind ~properties ~merits:core.Core.merits () )
+    end
+  in
+  let cores = List.mapi alter (Syn.cores spec) in
+  let idx = Index.build hierarchy cores in
+  let scan keep =
+    List.filter
+      (fun (qid, _) ->
+        match Index.path_of idx ~qualified_id:qid with Some p -> keep p | None -> false)
+      cores
+  in
+  let rec is_prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> String.equal x y && is_prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  let same ctx expected got =
+    Alcotest.(check (list string)) ctx (List.map fst expected) (List.map fst got);
+    Alcotest.(check bool) (ctx ^ ": the input pairs") true (List.for_all2 ( == ) expected got)
+  in
+  let paths = Hierarchy.node_paths hierarchy in
+  Alcotest.(check int) "40 nodes" 40 (List.length paths);
+  Alcotest.(check bool) "orphans exist" true (Index.unindexed idx <> []);
+  same "all" (scan (fun _ -> true)) (Index.all idx);
+  List.iter
+    (fun path ->
+      let ctx = String.concat "." path in
+      let under = scan (fun p -> is_prefix (path, p)) in
+      same ("under " ^ ctx) under (Index.under idx path);
+      same ("at " ^ ctx)
+        (if path = [] then [] else scan (fun p -> p = path))
+        (Index.at idx path);
+      Alcotest.(check int) ("count_under " ^ ctx) (List.length under) (Index.count_under idx path))
+    ([] :: [ "nowhere" ] :: (List.hd paths @ [ "nowhere" ]) :: paths);
+  Alcotest.(check bool) "some interior node holds cores" true
+    (List.exists (fun p -> List.length p < 4 && Index.at idx p <> []) paths)
+
+(* The index keeps one (qid, core) store, the columnar entry array, and
+   masks over it: building it over 20,000 generated cores retains at
+   most 40 live words per core beyond the input list. *)
+let test_index_memory () =
+  let module Gn = Ds_domains.Generator in
+  let spec = { Gn.default_spec with Gn.cores = 20_000 } in
+  let hierarchy = Gn.hierarchy spec and cores = Gn.cores spec in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let idx = Index.build hierarchy cores in
+  Gc.compact ();
+  let after = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity (hierarchy, cores, idx));
+  let per_core = float_of_int (after - before) /. float_of_int spec.Gn.cores in
+  if per_core > 40.0 then Alcotest.failf "Index.build retains %.1f words per core" per_core
+
 (* -------------------------------------------------------------------- *)
 (* Session                                                               *)
 
@@ -1233,7 +1311,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_hierarchy_validation;
           Alcotest.test_case "abbrev refs" `Quick test_ref_abbrev_matching;
         ] );
-      ("index", [ Alcotest.test_case "classification" `Quick test_index_classification ]);
+      ( "index",
+        [
+          Alcotest.test_case "classification" `Quick test_index_classification;
+          Alcotest.test_case "every node" `Quick test_index_every_node;
+          Alcotest.test_case "memory per core" `Quick test_index_memory;
+        ] );
       ( "session",
         [
           Alcotest.test_case "requirements" `Quick test_session_requirements;
