@@ -4,7 +4,7 @@ type env = {
   focus : string list;
 }
 
-type eliminate_kernel = env -> Columnar.t -> (int -> bool) option
+type eliminate_kernel = env -> Columnar.t -> (int -> int -> int) option
 
 type relation =
   | Inconsistent of { violated : env -> bool }

@@ -26,13 +26,14 @@ type env = {
   focus : string list;  (** the session's current node path *)
 }
 
-type eliminate_kernel = env -> Columnar.t -> (int -> bool) option
-(** Optional vectorized form of an elimination predicate: resolved once
-    per sweep against the layer's columnar store, it returns a per-core
-    verdict function over dense ids (or [None] when the current
-    bindings don't allow a columnar evaluation — the sweep falls back
-    to the per-core closure).  Contract: the returned function must
-    agree with [inferior] on every core — same verdicts, and the same
+type eliminate_kernel = env -> Columnar.t -> (int -> int -> int) option
+(** Optional vectorized form of an elimination predicate, resolved
+    once per sweep against the layer's columnar store ([None]: the
+    sweep calls the per-core closure).  The result is a word kernel:
+    [k w want] returns which of the set bits of [want] (bit [b] is id
+    [32w + b]) are inferior; the sweep masks it with [want].  Presence
+    is a word AND with {!Columnar.merit_column}'s presence bitsets.
+    Contract: verdicts agree with [inferior] on every core, by the same
     floating-point operations in the same order, so cached verdicts and
     candidate signatures stay bit-identical whichever path computed
     them.  Kernels must be total, straight-line column math: they run

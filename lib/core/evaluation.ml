@@ -86,74 +86,67 @@ type merit_summary = {
   missing : int;
 }
 
-(* NaN propagates through Float.min/Float.max and would poison the whole
-   range; non-finite merits are counted out instead of folded in.  The
-   range folds directly over the cores (no intermediate value list —
-   this is the hot path behind the service's [ranges] op), in pool
-   chunks whose (lo, hi, counts) partial summaries combine
-   associatively. *)
+(* NaN would poison the whole range through the comparisons;
+   non-finite merits are counted out instead of folded in.  One pass in
+   list order, with no intermediate value list: the reference the
+   columnar fold below must match bit for bit.  A range is seen once
+   its low bound is finite. *)
 let merit_summary cores ~merit =
-  let arr = Array.of_list cores in
-  let n = Array.length arr in
-  let partials =
-    Parallel.map_chunks ~n (fun lo hi ->
-        let rlo = ref infinity and rhi = ref neg_infinity in
-        let seen = ref false and skipped = ref 0 and missing = ref 0 in
-        for i = lo to hi - 1 do
-          match Core.merit (snd arr.(i)) merit with
-          | None -> incr missing
-          | Some v when not (Float.is_finite v) -> incr skipped
-          | Some v ->
-            seen := true;
-            if v < !rlo then rlo := v;
-            if v > !rhi then rhi := v
-        done;
-        (!rlo, !rhi, !seen, !skipped, !missing))
-  in
-  let merit_range, skipped_non_finite, missing =
-    List.fold_left
-      (fun (r, sk, mi) (clo, chi, cseen, csk, cmi) ->
-        let r =
-          if not cseen then r
-          else
-            match r with
-            | None -> Some (clo, chi)
-            | Some (lo, hi) -> Some (Float.min lo clo, Float.max hi chi)
-        in
-        (r, sk + csk, mi + cmi))
-      (None, 0, 0) partials
-  in
-  { merit_range; skipped_non_finite; missing }
+  let lo = ref infinity and hi = ref neg_infinity in
+  let skipped = ref 0 and missing = ref 0 in
+  List.iter
+    (fun (_, core) ->
+      match Core.merit core merit with
+      | None -> incr missing
+      | Some v when not (Float.is_finite v) -> incr skipped
+      | Some v ->
+        if v < !lo then lo := v;
+        if v > !hi then hi := v)
+    cores;
+  {
+    merit_range = (if Float.is_finite !lo then Some (!lo, !hi) else None);
+    skipped_non_finite = !skipped;
+    missing = !missing;
+  }
 
-(* The same summary off a survivor bitset and the index's flat merit
-   column: no list is materialized and no per-core assoc walk happens —
-   one array read (plus a presence-bit test) per surviving core.  An
-   absent column means no core carries the merit, i.e. every survivor
-   counts as missing, exactly as the list fold would find. *)
-let merit_summary_columnar store bits ~merit =
-  match Columnar.merit_column store merit with
-  | None -> { merit_range = None; skipped_non_finite = 0; missing = Bitset.count bits }
-  | Some (values, present) ->
-    let rlo = ref infinity and rhi = ref neg_infinity in
-    let seen = ref false and skipped = ref 0 and missing = ref 0 in
-    Bitset.iter_true
-      (fun i ->
-        if not (Bitset.mem present i) then incr missing
-        else begin
-          let v = Array.unsafe_get values i in
-          if not (Float.is_finite v) then incr skipped
+(* The same summaries off a survivor bitset and the index's flat merit
+   columns, all requested merits in one pass: word by word, each merit
+   takes the word's survivors ANDed with its presence word and reads one
+   array slot per surviving core, in ascending id order as the list
+   fold does (so even the sign of a zero bound matches).  An absent
+   column reads as an all-absent one: every survivor counts as missing,
+   exactly as the list fold would find. *)
+let merit_summary_columnar store bits ~merits =
+  let absent = ([||], Bitset.create (Bitset.length bits)) in
+  let column m = Option.value (Columnar.merit_column store m) ~default:absent in
+  let cols = Array.of_list (List.map column merits) in
+  let n = Array.length cols in
+  let lo = Array.make n infinity and hi = Array.make n neg_infinity in
+  let skipped = Array.make n 0 and missing = Array.make n 0 in
+  for w = 0 to Bitset.word_count bits - 1 do
+    let live = Bitset.word bits w in
+    if live <> 0 then
+      for k = 0 to n - 1 do
+        let values, present = cols.(k) in
+        let have = ref (live land Bitset.word present w) in
+        missing.(k) <- missing.(k) + Bitset.popcount32 (live land lnot !have);
+        while !have <> 0 do
+          let v = values.((w lsl 5) + Bitset.popcount32 ((!have land - !have) - 1)) in
+          if not (Float.is_finite v) then skipped.(k) <- skipped.(k) + 1
           else begin
-            seen := true;
-            if v < !rlo then rlo := v;
-            if v > !rhi then rhi := v
-          end
-        end)
-      bits;
-    {
-      merit_range = (if !seen then Some (!rlo, !rhi) else None);
-      skipped_non_finite = !skipped;
-      missing = !missing;
-    }
+            if v < lo.(k) then lo.(k) <- v;
+            if v > hi.(k) then hi.(k) <- v
+          end;
+          have := !have land (!have - 1)
+        done
+      done
+  done;
+  List.init n (fun k ->
+      {
+        merit_range = (if Float.is_finite lo.(k) then Some (lo.(k), hi.(k)) else None);
+        skipped_non_finite = skipped.(k);
+        missing = missing.(k);
+      })
 
 let merit_range cores ~merit = (merit_summary cores ~merit).merit_range
 

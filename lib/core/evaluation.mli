@@ -45,12 +45,14 @@ type merit_summary = {
 val merit_summary : (string * Ds_reuse.Core.t) list -> merit:string -> merit_summary
 (** {!merit_range} plus the census of what was left out of it. *)
 
-val merit_summary_columnar : Columnar.t -> Bitset.t -> merit:string -> merit_summary
-(** The same summary over a survivor bitset and the index's flat merit
-    column — no candidate list is materialized, no per-core property
-    walk happens.  Result is identical to [merit_summary] over the
-    bitset's materialized entries (an absent column counts every
-    survivor as missing). *)
+val merit_summary_columnar :
+  Columnar.t -> Bitset.t -> merits:string list -> merit_summary list
+(** The same summary for each of [merits], in order, over a survivor
+    bitset and the index's flat merit columns — one word-at-a-time pass
+    over the bitset for all of them, no candidate list materialized, no
+    per-core property walk.  Each result is identical to
+    [merit_summary] over the bitset's materialized entries (an absent
+    column counts every survivor as missing). *)
 
 val normalize : point list -> point list
 (** Rescale both axes to [0, 1] (used before clustering); a degenerate

@@ -59,11 +59,8 @@ let render ?(title = "Exploration report") ?(merits = []) ?pareto session =
                 merits)))
       candidates;
     add "\n### Ranges\n\n";
-    List.iter
-      (fun m ->
-        (* over the [candidates] computed once above — one pruning pass
-           serves the table, every range and the pareto section *)
-        let summary = Evaluation.merit_summary candidates ~merit:m in
+    List.iter2
+      (fun m summary ->
         let skipped =
           if summary.Evaluation.skipped_non_finite = 0 then ""
           else
@@ -74,7 +71,8 @@ let render ?(title = "Exploration report") ?(merits = []) ?pareto session =
         match summary.Evaluation.merit_range with
         | Some (lo, hi) -> add "- %s: %.4g .. %.4g%s\n" m lo hi skipped
         | None -> if skipped <> "" then add "- %s: no finite values%s\n" m skipped)
-      merits);
+      merits
+      (Session.merit_summaries session ~merits));
 
   (match pareto with
   | None -> ()

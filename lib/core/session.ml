@@ -396,7 +396,7 @@ type elim = {
   e_slot : Compliance.Slot.t;
   e_view : int array;
   e_inferior : Consistency.env -> Core.t -> bool;
-  e_kernel : (int -> bool) option;
+  e_kernel : (int -> int -> int) option;
   mutable e_quarantined : bool;
 }
 
@@ -476,8 +476,10 @@ let sweep_recording t environment store pool elims =
    of every mask and the verdict words read by
    {!Compliance.Slot.peek_word} all cover ids [32w, 32w + 32).  A warm
    (constraint, word) step is one [peek_word] plus a handful of mask
-   ops, with no per-core control flow; words outside the pool are
-   skipped by their zero keep word.
+   ops, with no per-core control flow; a cold one adds one word-kernel
+   call, or one guarded closure call per unknown id for a constraint
+   without a kernel.  Words outside the pool are skipped by their zero
+   keep word.
 
    Evaluation-set parity with the core-major/early-exit recording
    sweep: the word loop applies constraints in declaration order and
@@ -572,24 +574,23 @@ let candidates_bits_memo t =
                  misses := !misses + Bitset.popcount32 unknown;
                  let new_elim = ref 0 in
                  if unknown <> 0 then begin
-                   let eval =
-                     match e.e_kernel with
-                     | Some kernel -> kernel
-                     | None ->
-                       fun id -> (
-                         match
-                           Guard.run (fun () -> e.e_inferior environment (Columnar.core store id))
-                         with
-                         | Ok v -> v
-                         | Error _ -> raise_notrace Sweep_fault)
-                   in
-                   let bits = ref unknown in
-                   while !bits <> 0 do
-                     let b = !bits land - !bits in
-                     if eval ((w lsl 5) + Bitset.popcount32 (b - 1)) then
-                       new_elim := !new_elim lor b;
-                     bits := !bits land (!bits - 1)
-                   done;
+                   (match e.e_kernel with
+                   | Some kernel -> new_elim := kernel w unknown land unknown
+                   | None ->
+                     let eval id =
+                       match
+                         Guard.run (fun () -> e.e_inferior environment (Columnar.core store id))
+                       with
+                       | Ok v -> v
+                       | Error _ -> raise_notrace Sweep_fault
+                     in
+                     let bits = ref unknown in
+                     while !bits <> 0 do
+                       let b = !bits land - !bits in
+                       if eval ((w lsl 5) + Bitset.popcount32 (b - 1)) then
+                         new_elim := !new_elim lor b;
+                       bits := !bits land (!bits - 1)
+                     done);
                    Bitset.set_word touched.(j) w (Bitset.word touched.(j) w lor unknown);
                    Bitset.set_word inferior_bits.(j) w
                      (Bitset.word inferior_bits.(j) w lor !new_elim)
@@ -729,30 +730,42 @@ let candidate_page t ~max =
       List.map (Columnar.qid store) (Bitset.take_true sv.Compliance.sv_bits take) )
   end
 
-(* Memoized like the survivor set itself (and on the same key): a
-   revisited state serves its ranges without re-folding the pool. *)
-let merit_summary t ~merit =
-  if not t.use_cache then Evaluation.merit_summary (candidates t) ~merit
+(* Memoized like the survivor set itself, one entry per merit on the
+   survivor set's key: a revisited state serves its ranges without
+   re-folding the pool.  The merits the memo misses share one fold. *)
+let merit_summaries t ~merits =
+  if not t.use_cache then
+    let survivors = candidates t in
+    List.map (fun merit -> Evaluation.merit_summary survivors ~merit) merits
   else begin
-    let key = state_signature t ^ "#" ^ merit in
-    match Compliance.find_summary t.cache ~key with
-    | Some summary ->
-      if Obs.recording () then
-        Obs.instant "eval.merit_summary" ~attrs:[ ("merit", merit); ("cached", "true") ];
-      summary
-    | None ->
-      let summary =
+    let prefix = state_signature t ^ "#" in
+    let found = List.map (fun m -> (m, Compliance.find_summary t.cache ~key:(prefix ^ m))) merits in
+    let misses = List.filter_map (function m, None -> Some m | _, Some _ -> None) found in
+    let misses = List.sort_uniq String.compare misses in
+    let fresh =
+      if misses = [] then []
+      else
         Obs.with_span "eval.merit_summary"
-          ~attrs:[ ("merit", merit); ("cached", "false") ]
+          ~attrs:[ ("merit", String.concat "," misses); ("cached", "false") ]
           (fun () ->
-            (* straight off the merit column — no candidate list *)
-            Evaluation.merit_summary_columnar (Index.columnar t.index)
-              (survivor_set t).Compliance.sv_bits ~merit)
-      in
-      Compliance.store_summary t.cache ~key summary;
-      summary
+            (* straight off the merit columns — no candidate list *)
+            let bits = (survivor_set t).Compliance.sv_bits in
+            List.combine misses
+              (Evaluation.merit_summary_columnar (Index.columnar t.index) bits ~merits:misses))
+    in
+    List.iter (fun (m, sm) -> Compliance.store_summary t.cache ~key:(prefix ^ m) sm) fresh;
+    List.map
+      (fun (merit, hit) ->
+        match hit with
+        | Some summary ->
+          if Obs.recording () then
+            Obs.instant "eval.merit_summary" ~attrs:[ ("merit", merit); ("cached", "true") ];
+          summary
+        | None -> List.assoc merit fresh)
+      found
   end
 
+let merit_summary t ~merit = List.hd (merit_summaries t ~merits:[ merit ])
 let merit_range t ~merit = (merit_summary t ~merit).Evaluation.merit_range
 
 let eligible t name =

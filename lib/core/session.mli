@@ -174,9 +174,13 @@ val merit_range : t -> merit:string -> (float * float) option
 (** Range of a figure of merit over the current candidates (non-finite
     merit values are skipped, see {!Evaluation.merit_range}). *)
 
+val merit_summaries : t -> merits:string list -> Evaluation.merit_summary list
+(** Per merit, in order: the range plus how many candidates were
+    skipped (non-finite merit) or carry no such merit.  The merits the
+    per-state memo misses share one pass over the survivor set. *)
+
 val merit_summary : t -> merit:string -> Evaluation.merit_summary
-(** The range plus how many candidates were skipped (non-finite merit)
-    or carry no such merit. *)
+(** The one-merit case of {!merit_summaries}. *)
 
 (** The outcome of tentatively choosing one option of a design issue. *)
 type option_preview = {

@@ -83,28 +83,37 @@ let decide ~fanin ~weights ~bound ~get =
   done;
   (not !missing) && !acc > bound
 
-(* The same predicate over flat merit columns, resolved once per kernel.
-   It performs [decide]'s float operations in [decide]'s order (start at
-   0.0, add [weights.(f) *. v] for f ascending), so verdicts and
-   signatures stay bit-identical to the closure; stopping at the first
-   missing merit only skips terms whose sum [decide] then ignores.  The
-   per-core call allocates nothing: the accumulator is an unboxed local
-   and no option or closure is built per read. *)
+(* The same predicate over flat merit columns, one bitset word at a
+   time.  A core missing any of the merits is kept, so the candidates
+   are [want] ANDed with every presence word.  Each candidate runs
+   [decide]'s float operations in [decide]'s order (start at 0.0, add
+   [weights.(f) *. v] for f ascending), so verdicts and signatures stay
+   bit-identical to the closure.  A word allocates nothing: the
+   accumulator is an unboxed local and no option or closure is built
+   per read. *)
 let kernel ~fanin ~weights ~bound cols =
-  if Array.exists Option.is_none cols then fun _ -> false
+  if Array.exists Option.is_none cols then fun _ _ -> 0
   else begin
     let values = Array.map (fun c -> fst (Option.get c)) cols in
     let present = Array.map (fun c -> snd (Option.get c)) cols in
-    fun id ->
-      let acc = ref 0.0 in
-      let f = ref 0 in
-      while !f < fanin && Bitset.mem (Array.unsafe_get present !f) id do
-        acc :=
-          !acc
-          +. (Array.unsafe_get weights !f *. Array.unsafe_get (Array.unsafe_get values !f) id);
-        incr f
+    fun w want ->
+      let bits = ref want and inferior = ref 0 in
+      for f = 0 to fanin - 1 do
+        bits := !bits land Bitset.word (Array.unsafe_get present f) w
       done;
-      !f = fanin && !acc > bound
+      while !bits <> 0 do
+        let b = !bits land - !bits in
+        let id = (w lsl 5) + Bitset.popcount32 (b - 1) in
+        let acc = ref 0.0 in
+        for f = 0 to fanin - 1 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get weights f *. Array.unsafe_get (Array.unsafe_get values f) id)
+        done;
+        if !acc > bound then inferior := !inferior lor b;
+        bits := !bits land (!bits - 1)
+      done;
+      !inferior
   end
 
 let constraints spec =
@@ -129,7 +138,7 @@ let constraints spec =
                Some
                  (kernel ~fanin:spec.fanin ~weights ~bound
                     (Array.map (Columnar.merit_column store) cc_merits))
-             | Some _ | None -> Some (fun _ -> false))
+             | Some _ | None -> Some (fun _ _ -> 0))
            (fun env core ->
              match env.Consistency.value_of budget with
              | Some (Value.Real bound) ->

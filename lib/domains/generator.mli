@@ -14,9 +14,10 @@
     columnar-vs-naive differentials on generated populations.
 
     Every elimination constraint carries both a per-core closure and a
-    vectorized kernel built from the same weighted-sum loop, so layers
-    from this generator exercise the kernel fast path of the columnar
-    sweep while remaining bit-comparable to the naive per-core path. *)
+    word kernel ({!Ds_layer.Consistency.eliminate_kernel}) built from
+    the same weighted-sum loop, so layers from this generator exercise
+    the kernel fast path of the columnar sweep while remaining
+    bit-comparable to the naive per-core path. *)
 
 type spec = {
   cores : int;  (** population size *)
@@ -64,8 +65,9 @@ val constraints : spec -> Ds_layer.Consistency.t list
 (** [ccs] elimination constraints GEL0..GEL{n-1}.  GEL[i] drops a core
     when the weighted sum of [fanin] of its merits (columns rotated by
     [i]) exceeds the bound entered for {!budget_name}[ i].  Each carries
-    a vectorized kernel that performs the identical floating-point loop
-    over the flat merit columns. *)
+    a word kernel that keeps the cores lacking a merit (a word AND of
+    the presence bitsets) and runs the identical floating-point loop
+    over the flat merit columns for every other id of the word. *)
 
 val cores : spec -> (string * Ds_reuse.Core.t) list
 (** The seeded population: core [i] is ["g-%07d"], binds the family

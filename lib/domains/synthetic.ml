@@ -103,11 +103,19 @@ let constraints spec =
                with
                | Some (delays, dpresent), Some (costs, cpresent) ->
                  Some
-                   (fun i ->
-                     Bitset.mem dpresent i && Bitset.mem cpresent i
-                     && score ~weight ~delay:delays.(i) ~cost:costs.(i) > bound)
-               | None, _ | _, None -> Some (fun _ -> false))
-             | Some _ | None -> Some (fun _ -> false))
+                   (fun w want ->
+                     let present = Bitset.word dpresent w land Bitset.word cpresent w in
+                     let bits = ref (want land present) and inferior = ref 0 in
+                     while !bits <> 0 do
+                       let b = !bits land - !bits in
+                       let i = (w lsl 5) + Bitset.popcount32 (b - 1) in
+                       if score ~weight ~delay:delays.(i) ~cost:costs.(i) > bound then
+                         inferior := !inferior lor b;
+                       bits := !bits land (!bits - 1)
+                     done;
+                     !inferior)
+               | None, _ | _, None -> Some (fun _ _ -> 0))
+             | Some _ | None -> Some (fun _ _ -> 0))
            (fun env core ->
              match env.Consistency.value_of budget with
              | Some (Value.Real bound) -> (

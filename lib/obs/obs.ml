@@ -518,17 +518,11 @@ let instant ?(attrs = []) name =
    makes ids from different fleet members collision-free in a merged
    trace. *)
 
-let rand_lock = Mutex.create ()
-let rand_state = lazy (Random.State.make_self_init ())
-
-let rand_hex n =
-  Mutex.lock rand_lock;
-  let st = Lazy.force rand_state in
-  let s = String.init n (fun _ -> "0123456789abcdef".[Random.State.int st 16]) in
-  Mutex.unlock rand_lock;
-  s
-
 let hex_digits = "0123456789abcdef"
+
+(* The per-process random values ([process_hex], [mint_seed]) are drawn
+   at module init, before any thread or domain can race to draw them. *)
+let rand_state = Random.State.make_self_init ()
 
 (* low [digits] nibbles of [v], most significant first *)
 let hex_into b pos v digits =
@@ -537,19 +531,18 @@ let hex_into b pos v digits =
       (String.unsafe_get hex_digits ((v lsr ((digits - 1 - i) * 4)) land 0xf))
   done
 
-let process_hex = lazy (rand_hex 8)
+let process_hex = String.init 8 (fun _ -> hex_digits.[Random.State.int rand_state 16])
 
 let span_hex id =
-  let prefix = Lazy.force process_hex in
   let b = Bytes.create 16 in
-  Bytes.blit_string prefix 0 b 0 8;
+  Bytes.blit_string process_hex 0 b 0 8;
   hex_into b 8 (id land 0xFFFFFFFF) 8;
   Bytes.unsafe_to_string b
 
 (* Context minting is on the client's per-request hot path, so it must
-   not funnel every requester thread through [rand_lock] 48 times: ids
-   are splitmix streams over a lock-free atomic counter, seeded once
-   from the system RNG.  The mixer is splitmix64's finalizer truncated
+   not draw 48 digits from a shared RNG state per context: ids are
+   splitmix streams over a lock-free atomic counter, seeded once from
+   the system RNG.  The mixer is splitmix64's finalizer truncated
    to OCaml's native 63-bit int — native int arithmetic stays unboxed,
    where Int64 would heap-allocate every intermediate on this path.
    Uniqueness needs a good bit mixer, not cryptographic randomness;
@@ -562,13 +555,7 @@ let sm x =
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   z lxor (z lsr 31)
 
-let mint_seed =
-  lazy
-    (Mutex.lock rand_lock;
-     let st = Lazy.force rand_state in
-     let s = Int64.to_int (Random.State.bits64 st) in
-     Mutex.unlock rand_lock;
-     s)
+let mint_seed = Int64.to_int (Random.State.bits64 rand_state)
 
 let mint_ctr = Atomic.make 0
 let mint_word seed n k = sm (seed + (((3 * n) + k) * sm_gamma))
@@ -582,7 +569,7 @@ let mint_trace_of seed n =
   Bytes.unsafe_to_string b
 
 let mint_trace () =
-  mint_trace_of (Lazy.force mint_seed) (Atomic.fetch_and_add mint_ctr 1)
+  mint_trace_of (mint_seed) (Atomic.fetch_and_add mint_ctr 1)
 
 let is_hex = String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
 
@@ -646,7 +633,7 @@ let mint_trace_sampled () =
          trace never even leaves the client, so requests below the
          sampling rate carry zero tracing cost through the fleet — not
          even the context string is built for them *)
-      let seed = Lazy.force mint_seed in
+      let seed = mint_seed in
       let n = Atomic.fetch_and_add mint_ctr 1 in
       let sampled =
         r >= 1.0
@@ -669,7 +656,7 @@ let root_sampled () =
   else if r <= 0.0 then false
   else begin
     let n = Atomic.fetch_and_add coin_ctr 1 in
-    let z = sm (Lazy.force mint_seed + (n * 0x51342543DE82EF95)) in
+    let z = sm (mint_seed + (n * 0x51342543DE82EF95)) in
     float_of_int ((z lsr 10) land 0x1F_FFFF_FFFF_FFFF) *. (1.0 /. 9007199254740992.0) < r
   end
 

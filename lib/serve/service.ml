@@ -873,8 +873,9 @@ let read_reply t sid s (req : P.request) =
         ("session", Jsonx.Str sid);
         ( "ranges",
           Jsonx.Obj
-            (List.map (fun merit -> (merit, range_json (Session.merit_range s ~merit))) merits)
-        );
+            (List.map2
+               (fun merit summary -> (merit, range_json summary.Ds_layer.Evaluation.merit_range))
+               merits (Session.merit_summaries s ~merits)) );
       ]
   | P.Issues _ ->
     P.Reply

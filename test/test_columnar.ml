@@ -440,15 +440,82 @@ let test_merit_summary_columnar () =
         picked := entries.(i) :: !picked
       end
     done;
-    List.iter
-      (fun merit ->
+    let merits = [ "delay"; "cost"; "power" ] in
+    List.iter2
+      (fun merit actual ->
         let expected = Evaluation.merit_summary !picked ~merit in
-        let actual = Evaluation.merit_summary_columnar store bits ~merit in
         Alcotest.(check bool)
           (Printf.sprintf "summary %s mask %d" merit mask)
           true (expected = actual))
-      [ "delay"; "cost"; "power" ]
+      merits
+      (Evaluation.merit_summary_columnar store bits ~merits)
   done
+
+(* The fused fold against the list fold, on a store of 77 cores (the
+   last word ragged) whose columns hold NaN, both infinities, both
+   zeros and absent merits.  Column "z" holds nothing but those, so its
+   finite range is a pair of zeros; ranges compare by bits, so a fold
+   that visited ids out of order would show in the sign of a zero. *)
+let test_merit_summary_fused () =
+  let g = Prng.create 17 in
+  let specials = [| Float.nan; infinity; neg_infinity; 0.0; -0.0 |] in
+  let n = 77 in
+  let cores =
+    List.init n (fun i ->
+        let merits =
+          List.filter_map
+            (fun m ->
+              match Prng.int g 8 with
+              | 0 -> None
+              | 1 -> Some (m, specials.(Prng.int g (Array.length specials)))
+              | _ when m = "z" -> Some (m, specials.(Prng.int g (Array.length specials)))
+              | _ -> Some (m, (Prng.float g *. 200.0) -. 100.0))
+            [ "a"; "b"; "c"; "z" ]
+        in
+        let id = Printf.sprintf "lib/f%02d" i in
+        (id, Core.make_exn ~id ~name:id ~provider:"t" ~kind:Core.Soft_core ~properties:[] ~merits ()))
+  in
+  let store = Columnar.build (Array.of_list cores) in
+  let bits_of pick =
+    let bits = Bitset.create n in
+    for i = 0 to n - 1 do
+      if pick i then Bitset.set bits i
+    done;
+    bits
+  in
+  let bitsets =
+    [
+      ("empty", bits_of (fun _ -> false));
+      ("full", bits_of (fun _ -> true));
+      ("random", bits_of (fun _ -> Prng.int g 2 = 0));
+      ("sparse", bits_of (fun _ -> Prng.int g 7 = 0));
+      ("ragged", bits_of (fun i -> i >= 64));
+    ]
+  in
+  let range_bits = Option.map (fun (lo, hi) -> (Int64.bits_of_float lo, Int64.bits_of_float hi)) in
+  let same (a : Evaluation.merit_summary) (b : Evaluation.merit_summary) =
+    range_bits a.merit_range = range_bits b.merit_range
+    && a.skipped_non_finite = b.skipped_non_finite
+    && a.missing = b.missing
+  in
+  List.iter
+    (fun (label, bits) ->
+      let picked = List.filteri (fun i _ -> Bitset.mem bits i) cores in
+      List.iter
+        (fun merits ->
+          let fused = Evaluation.merit_summary_columnar store bits ~merits in
+          Alcotest.(check int)
+            (Printf.sprintf "%s [%s]: one summary per merit" label (String.concat ";" merits))
+            (List.length merits) (List.length fused);
+          List.iter2
+            (fun merit actual ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s [%s]: %s" label (String.concat ";" merits) merit)
+                true
+                (same (Evaluation.merit_summary picked ~merit) actual))
+            merits fused)
+        [ [ "a"; "b"; "c"; "z" ]; [ "b"; "z"; "b" ]; [ "a"; "absent"; "c" ]; [ "absent" ]; [] ])
+    bitsets
 
 (* ------------------------------------------------------------------ *)
 (* Quantum-aligned chunk boundaries                                    *)
@@ -511,6 +578,7 @@ let () =
           Alcotest.test_case "merit columns" `Quick test_columnar_merit_column;
           Alcotest.test_case "property predicates" `Quick test_columnar_property_matches;
           Alcotest.test_case "merit summary" `Quick test_merit_summary_columnar;
+          Alcotest.test_case "fused merit summaries" `Quick test_merit_summary_fused;
         ] );
       ( "parallel",
         [ Alcotest.test_case "quantum boundaries" `Quick test_parallel_quantum ] );

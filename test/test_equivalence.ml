@@ -535,6 +535,120 @@ let test_generated_faults () =
       [ ("columnar", col); ("naive", naive) ]
   | Error msg, _ | _, Error msg -> Alcotest.failf "drive failed: %s" msg
 
+(* Word kernels against their own closures.  Each kernel is called on
+   every word of a store, with a full, a sparse and a zero [want] mask
+   (never past the store's last id), and each answer bit must equal the
+   constraint's [inferior] closure on that id.  Budgets: 0.0, a huge
+   value, and one exactly equal to some core's score — found by
+   bisection on the closure itself, so the strict [>] is hit on an
+   exact tie.  The hand-built store has cores lacking merits (and no
+   core carrying m3), which covers the presence AND and the kernel's
+   absent-column answer. *)
+
+let budget_env cc bound =
+  let budget = (List.hd cc.Consistency.indep).Propref.property in
+  {
+    Consistency.empty_env with
+    value_of = (fun name -> if name = budget then Some (Value.Real bound) else None);
+  }
+
+let inferior_and_kernel cc =
+  match cc.Consistency.relation with
+  | Consistency.Eliminate { inferior; vectorized = Some resolve } -> (inferior, resolve)
+  | _ -> Alcotest.failf "%s: no kernel" cc.Consistency.name
+
+(* The smallest budget that keeps [core], searched over the bit
+   patterns of non-negative floats: the core's score, if positive. *)
+let tie_budget cc core =
+  let inferior, _ = inferior_and_kernel cc in
+  let cut b = inferior (budget_env cc b) core in
+  let lo = ref (Int64.bits_of_float 0.0) and hi = ref (Int64.bits_of_float 1e300) in
+  if not (cut 0.0) then Alcotest.failf "%s: score not positive" cc.Consistency.name;
+  while Int64.sub !hi !lo > 1L do
+    let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+    if cut (Int64.float_of_bits mid) then lo := mid else hi := mid
+  done;
+  Int64.float_of_bits !hi
+
+let check_word_kernel ~ctx store cc bound =
+  let inferior, resolve = inferior_and_kernel cc in
+  let env = budget_env cc bound in
+  let kernel =
+    match resolve env store with Some k -> k | None -> Alcotest.failf "%s: kernel declined" ctx
+  in
+  let n = Columnar.length store in
+  let g = Ds_bignum.Prng.create n in
+  for w = 0 to ((n + 31) / 32) - 1 do
+    let valid = if (32 * w) + 32 <= n then 0xFFFFFFFF else (1 lsl (n - (32 * w))) - 1 in
+    let sparse = 0x80000001 lor (Ds_bignum.Prng.int g (1 lsl 30) land Ds_bignum.Prng.int g (1 lsl 30)) in
+    List.iter
+      (fun (label, want) ->
+        let want = want land valid in
+        let expected = ref 0 in
+        for b = 0 to 31 do
+          if want land (1 lsl b) <> 0 && inferior env (Columnar.core store ((32 * w) + b)) then
+            expected := !expected lor (1 lsl b)
+        done;
+        Alcotest.(check int)
+          (Printf.sprintf "%s: word %d, %s want" ctx w label)
+          !expected
+          (kernel w want land want))
+      [ ("full", 0xFFFFFFFF); ("sparse", sparse); ("zero", 0) ]
+  done
+
+let test_word_kernels () =
+  let layer name store ccs =
+    List.iter
+      (fun cc ->
+        let tie = tie_budget cc (Columnar.core store 5) in
+        List.iter
+          (fun bound ->
+            check_word_kernel
+              ~ctx:(Printf.sprintf "%s %s budget %h" name cc.Consistency.name bound)
+              store cc bound)
+          [ 0.0; 1e12; tie ];
+        (* the tie itself: core 5 scores exactly the budget, so stays *)
+        let _, resolve = inferior_and_kernel cc in
+        match resolve (budget_env cc tie) store with
+        | Some k -> Alcotest.(check int) (name ^ ": tie kept") 0 (k 0 (1 lsl 5))
+        | None -> Alcotest.fail "kernel declined")
+      ccs
+  in
+  let gen = { Gn.default_spec with Gn.cores = 2_017 } in
+  layer "gen" (Columnar.build (Array.of_list (Gn.cores gen))) (Gn.constraints gen);
+  let syn = { Syn.default_spec with Syn.eliminate_ccs = 3 } in
+  layer "syn" (Columnar.build (Array.of_list (Syn.cores syn))) (Syn.constraints syn);
+  (* hand-built: every core lacks some merit with probability 1/4, m3
+     is carried by no core, and delay/cost are present only in part *)
+  let g = Ds_bignum.Prng.create 5 in
+  let hand =
+    Array.init 70 (fun i ->
+        let merits =
+          List.filter_map
+            (fun m ->
+              if Ds_bignum.Prng.int g 4 = 0 then None
+              else Some (m, 10.0 +. (Ds_bignum.Prng.float g *. 300.0)))
+            [ "m0"; "m1"; "m2"; "delay"; "cost" ]
+        in
+        let id = Printf.sprintf "hand-%02d" i in
+        ( "hand/" ^ id,
+          Ds_reuse.Core.make_exn ~id ~name:id ~provider:"t" ~kind:Ds_reuse.Core.Soft_core
+            ~properties:[] ~merits () ))
+  in
+  let store = Columnar.build hand in
+  List.iter
+    (fun (name, ccs) ->
+      List.iter
+        (fun cc ->
+          List.iter
+            (fun bound ->
+              check_word_kernel
+                ~ctx:(Printf.sprintf "hand %s %s budget %h" name cc.Consistency.name bound)
+                store cc bound)
+            [ 0.0; 150.0; 1e12 ])
+        ccs)
+    [ ("gen", Gn.constraints Gn.default_spec); ("syn", Syn.constraints syn) ]
+
 (* Parallel-vs-sequential on a generated layer: chunked columnar sweeps
    with kernels under both pool settings, plus the naive oracle. *)
 let test_generated_parallel_differential () =
@@ -719,6 +833,7 @@ let () =
           Alcotest.test_case "columnar vs naive" `Quick test_generated_differential;
           Alcotest.test_case "cache effective" `Quick test_generated_cache_effective;
           Alcotest.test_case "fault fallback" `Quick test_generated_faults;
+          Alcotest.test_case "word kernels vs closures" `Quick test_word_kernels;
           Alcotest.test_case "parallel differential" `Quick
             test_generated_parallel_differential;
           Alcotest.test_case "generator determinism" `Quick test_generator_determinism;

@@ -6,6 +6,39 @@
 module Obs = Ds_obs.Obs
 
 (* ------------------------------------------------------------------ *)
+(* First use from many threads                                         *)
+
+(* Trace ids, span ids and head sampling draw on per-process random
+   values.  Their first use may come from any number of threads and
+   domains at once (client connections, sweep chunks), so that first
+   use must not race: a lazy forced while another thread was forcing it
+   raised [CamlinternalLazy.Undefined].  Eight threads over two domains
+   start together; this runs first in the suite, before anything else
+   has touched those values. *)
+let test_first_use_race () =
+  Obs.set_enabled true;
+  let r0 = Obs.trace_sample () in
+  Obs.set_trace_sample 0.5;
+  Fun.protect ~finally:(fun () -> Obs.set_trace_sample r0) @@ fun () ->
+  let ready = Atomic.make 0 and failures = Atomic.make 0 in
+  let body () =
+    Atomic.incr ready;
+    while Atomic.get ready < 8 do
+      Thread.yield ()
+    done;
+    try
+      ignore (Obs.mint_trace ());
+      ignore (Obs.span_hex 1);
+      Obs.span_end (Obs.span_begin_root "first-use")
+    with _ -> Atomic.incr failures
+  in
+  let threads () = List.iter Thread.join (List.init 4 (fun _ -> Thread.create body ())) in
+  let other = Domain.spawn threads in
+  threads ();
+  Domain.join other;
+  Alcotest.(check int) "no thread raised" 0 (Atomic.get failures)
+
+(* ------------------------------------------------------------------ *)
 (* Histogram vs exact-sort oracle                                      *)
 
 (* The histogram's geometric buckets (ratio 1.25) bound the quantile
@@ -529,6 +562,7 @@ let test_merge_hsnapshots () =
 let () =
   Alcotest.run "obs"
     [
+      ("first-use", [ Alcotest.test_case "trace values from 8 threads" `Quick test_first_use_race ]);
       ( "histogram",
         [
           Alcotest.test_case "quantiles vs exact-sort oracle" `Quick test_histogram_oracle;

@@ -350,6 +350,63 @@ let test_service_branch () =
   in
   Alcotest.(check bool) "branches diverged" false (String.equal (sig_of "a") (sig_of "b"))
 
+(* One [ranges] request folds all its merits together; its reply must
+   be byte for byte what one single-merit request per merit gives, on
+   a fresh service (both cold) and again on the warm one.  Merit lists
+   carry a duplicate and a merit no core has. *)
+let test_ranges_fused_reply () =
+  let layers =
+    ("gen", fun ~eol:_ -> Ds_domains.Generator.session Ds_domains.Generator.default_spec)
+    :: Ds_domains.Catalog.factories
+  in
+  let module N = Ds_domains.Names in
+  List.iter
+    (fun (layer, steps, merits) ->
+      let run () =
+        let svc = Service.create (Service.config ~layers ()) in
+        ignore (reply (Service.handle svc (open_req ~session:"r" ~layer ())));
+        List.iter
+          (fun (name, value, decide) ->
+            ignore (reply (Service.handle svc (P.Set { session = "r"; name; value; decide }))))
+          steps;
+        svc
+      in
+      let ranges svc merits =
+        P.print_response (Service.handle svc (P.Ranges { session = "r"; merits = Some merits }))
+      in
+      let fused_svc = run () and single_svc = run () in
+      let per_merit =
+        List.concat_map
+          (fun merit ->
+            match
+              jmember "ranges"
+                (reply
+                   (Service.handle single_svc (P.Ranges { session = "r"; merits = Some [ merit ] })))
+            with
+            | J.Obj fields -> fields
+            | _ -> Alcotest.fail "ranges is an object")
+          merits
+      in
+      let expected =
+        P.print_response (P.Reply [ ("session", J.Str "r"); ("ranges", J.Obj per_merit) ])
+      in
+      Alcotest.(check bool) (layer ^ ": some range is non-empty") true (contains expected "[");
+      Alcotest.(check string) (layer ^ ": fused = per merit") expected (ranges fused_svc merits);
+      Alcotest.(check string) (layer ^ ": warm fused = per merit") expected (ranges fused_svc merits))
+    [
+      ( "crypto",
+        [
+          (N.operator_family, Value.str "modular", true);
+          (N.modular_operator, Value.str "multiplier", true);
+          (N.effective_operand_length, Value.int 768, false);
+          (N.latency_single_operation, Value.int 8, false);
+        ],
+        [ N.m_latency_ns; N.m_area_um2; "no-such-merit"; N.m_latency_ns; N.m_power_mw ] );
+      ( "gen",
+        [ ("GB0", Value.real 170.0, false); ("GB1", Value.real 200.0, false) ],
+        [ "m0"; "m3"; "m1"; "m0"; "no-such-merit"; "m2" ] );
+    ]
+
 (* The shell constructs requests directly (no wire screening), so the
    service itself must refuse values the journal cannot represent —
    before the slot is taken, so even for a session that does not exist,
@@ -2148,6 +2205,7 @@ let () =
           Alcotest.test_case "eviction keeps sessions resumable" `Quick
             test_lru_eviction_keeps_journal_resumable;
           Alcotest.test_case "candidate signature" `Quick test_candidate_signature;
+          Alcotest.test_case "fused ranges reply" `Quick test_ranges_fused_reply;
         ] );
       ( "journal",
         [
