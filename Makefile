@@ -67,18 +67,21 @@ soak-smoke:
 
 # The repository benchmark (BENCHMARK.json): each workload built from
 # source and driven by perfbench/run.py for SECONDS, seeded by SEED.
-# Each workload's full output lands in .perfbench_run/<workload>.out and
-# its last line (the result object) is echoed; the target fails unless
-# that line reports "correct": true.
+# TRACE=1 makes it the traced run (per-layer metrics, the ladder, the
+# evict/snapshot/resume recovery probe; fails past the ladder's
+# residual tolerance).  Each workload's full output lands in
+# .perfbench_run/<workload>.out and its last line (the result object)
+# is echoed; the target fails unless that line reports "correct": true.
 SEED ?= 1
 SECONDS ?= 30
+TRACE ?= 0
 PERFBENCH_WORKLOADS = idct-fleet gen100k-steps
 
 perfbench:
 	@mkdir -p .perfbench_run
 	@for w in $(PERFBENCH_WORKLOADS); do \
 	  out=.perfbench_run/$$w.out; \
-	  python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 > $$out; \
+	  python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE) > $$out; \
 	  status=$$?; \
 	  echo "$$w: $$(tail -n 1 $$out)"; \
 	  if [ $$status -ne 0 ] || ! tail -n 1 $$out | grep -q '"correct": true'; then \

@@ -3,14 +3,7 @@
    packed-verdict words of {!Compliance.Slot} (16 two-bit codes each)
    and onto whole cache lines of the columnar float arrays — the sweep
    kernel walks all three in lockstep.  Every operation is plain
-   unboxed [int] arithmetic: no [Int64] boxing in the hot loop.
-
-   Concurrency contract (what the columnar sweep relies on): reads and
-   writes of one array element are atomic in OCaml (no tearing), so
-   distinct words may be written by distinct domains without
-   synchronization.  {!Parallel.map_chunks} with [quantum] a multiple
-   of {!bits_per_word} hands each chunk a disjoint word range, which is
-   exactly that regime. *)
+   unboxed [int] arithmetic: no [Int64] boxing in the hot loop. *)
 
 type t = { words : int array; length : int }
 

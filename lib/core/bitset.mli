@@ -7,12 +7,9 @@
     of {!Compliance.Slot}; the sweep converts between the two with
     {!spread16}/{!unspread16} instead of per-core stores.
 
-    Mutation is unsynchronized.  Reads/writes of a single word are
-    atomic (OCaml guarantees no tearing on array elements), so parallel
-    chunks may write {e disjoint word ranges} of a shared bitset
-    without locks — {!Parallel.map_chunks} with a [quantum] that is a
-    multiple of {!bits_per_word} produces exactly such ranges.  Out of
-    that regime, callers must synchronize. *)
+    Mutation is unsynchronized: a bitset shared between domains must be
+    synchronized by its callers.  Reads/writes of a single word are
+    atomic (OCaml guarantees no tearing on array elements). *)
 
 type t
 

@@ -25,6 +25,7 @@ type t = {
   entries : (string * Core.t) array; (* (qualified id, core) by dense id *)
   image : string; (* "#" ^ qid of every core, concatenated in id order *)
   offsets : int array; (* id -> start of its "#qid" in [image]; [n] -> end *)
+  fingerprint : Digest.t; (* MD5 of [image]: names the layer's id space *)
   merits : (string, merit_column) Hashtbl.t;
   props : (string, prop_column) Hashtbl.t;
 }
@@ -33,6 +34,7 @@ let length t = Array.length t.entries
 let entry t i = t.entries.(i)
 let qid t i = fst t.entries.(i)
 let core t i = snd t.entries.(i)
+let fingerprint t = t.fingerprint
 
 let merit_column t name =
   match Hashtbl.find_opt t.merits name with
@@ -103,34 +105,49 @@ let build entries =
       Bytes.set image offsets.(i) '#';
       Bytes.blit_string qid 0 image (offsets.(i) + 1) (String.length qid))
     entries;
-  { entries; image = Bytes.unsafe_to_string image; offsets; merits; props }
+  let image = Bytes.unsafe_to_string image in
+  { entries; image; offsets; fingerprint = Digest.string image; merits; props }
 
-(* The bytes [digest_ids] hashes are written into a scratch buffer
-   owned by the calling domain ([Stdlib.Domain]: this library's own
-   [Domain] is the design-issue domain module).  Systhreads of one
-   domain share the key, so a caller swaps the buffer out of its slot
-   while it fills it, and a second thread that finds the slot empty
-   allocates its own. *)
+(* The bytes a digest hashes are written into a scratch buffer owned by
+   the calling domain ([Stdlib.Domain]: this library's own [Domain] is
+   the design-issue domain module).  Systhreads of one domain share the
+   key, so a caller swaps the buffer out of its slot while it fills it,
+   and a second thread that finds the slot empty allocates its own. *)
 let scratch = Stdlib.Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
+
+let with_scratch need f =
+  let slot = Stdlib.Domain.DLS.get scratch in
+  let buf = Atomic.exchange slot Bytes.empty in
+  let buf = if Bytes.length buf >= need then buf else Bytes.create need in
+  let d = f buf in
+  Atomic.set slot buf;
+  d
 
 let digest_ids t ~prefix bits =
   if Bitset.length bits > length t then invalid_arg "Columnar.digest_ids: bitset too long";
-  let slot = Stdlib.Domain.DLS.get scratch in
-  let buf = Atomic.exchange slot Bytes.empty in
   let plen = String.length prefix in
-  let buf =
-    let need = plen + String.length t.image in
-    if Bytes.length buf >= need then buf else Bytes.create need
-  in
-  Bytes.blit_string prefix 0 buf 0 plen;
-  let pos = ref plen in
-  Bitset.iter_runs
-    (fun lo hi ->
-      let a = Array.unsafe_get t.offsets lo in
-      let len = Array.unsafe_get t.offsets hi - a in
-      Bytes.blit_string t.image a buf !pos len;
-      pos := !pos + len)
-    bits;
-  let d = Digest.subbytes buf 0 !pos in
-  Atomic.set slot buf;
-  d
+  with_scratch (plen + String.length t.image) (fun buf ->
+      Bytes.blit_string prefix 0 buf 0 plen;
+      let pos = ref plen in
+      Bitset.iter_runs
+        (fun lo hi ->
+          let a = Array.unsafe_get t.offsets lo in
+          let len = Array.unsafe_get t.offsets hi - a in
+          Bytes.blit_string t.image a buf !pos len;
+          pos := !pos + len)
+        bits;
+      Digest.subbytes buf 0 !pos)
+
+let digest_bits t ~prefix bits =
+  if Bitset.length bits <> length t then
+    invalid_arg "Columnar.digest_bits: bitset length differs from the store";
+  let plen = String.length prefix in
+  let head = plen + String.length t.fingerprint in
+  let nw = Bitset.word_count bits in
+  with_scratch (head + (4 * nw)) (fun buf ->
+      Bytes.blit_string prefix 0 buf 0 plen;
+      Bytes.blit_string t.fingerprint 0 buf plen (String.length t.fingerprint);
+      for w = 0 to nw - 1 do
+        Bytes.set_int32_le buf (head + (4 * w)) (Int32.of_int (Bitset.word bits w))
+      done;
+      Digest.subbytes buf 0 (head + (4 * nw)))

@@ -26,8 +26,21 @@ val qid : t -> int -> string
 val core : t -> int -> Ds_reuse.Core.t
 (** The row view of a dense id (what per-core closures receive). *)
 
+val fingerprint : t -> Digest.t
+(** The MD5 of the id image — every ["#" ^ qid] in id order — computed
+    once by {!build}.  It names the store's id space: two stores with
+    the same qids in the same order share it. *)
+
+val digest_bits : t -> prefix:string -> Bitset.t -> Digest.t
+(** Candidate signature v2: the MD5 of [prefix], then the 16 raw bytes
+    of {!fingerprint}, then each word of the bitset
+    ({!Bitset.word_count} of them) as 4 little-endian bytes.  Its cost
+    is one pass over the bitset's words, whatever the survivors' qids.
+    The bitset must be exactly as long as the store. *)
+
 val digest_ids : t -> prefix:string -> Bitset.t -> Digest.t
-(** The MD5 of [prefix] followed by ["#" ^ qid t i] for every set
+(** Candidate signature v1, kept to verify v1 journals: the MD5 of
+    [prefix] followed by ["#" ^ qid t i] for every set
     index [i] of the bitset, ascending — byte for byte what appending
     those strings to a [Buffer] and digesting its contents gives.  The
     build lays every ["#" ^ qid] out contiguously in id order, so each

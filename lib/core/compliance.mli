@@ -62,8 +62,8 @@
     separate domains) can query the same lineage at once.  The sweep
     protocol is snapshot-and-merge: {!slot} pre-grows the verdict
     buffer to the whole universe under the lock, the sweep
-    itself reads a {!Slot.view} locklessly (and in parallel chunks, see
-    {!Parallel}), and buffered new verdicts are written back in one
+    itself reads a {!Slot.view} locklessly, and buffered new verdicts
+    are written back in one
     {!Slot.merge_bits}, which drops them if the stamp
     moved mid-sweep.  Two sweeps racing at the same stamp write
     identical (deterministic) verdicts, so the merge is idempotent;

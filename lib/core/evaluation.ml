@@ -4,23 +4,8 @@ type point = { label : string; x : float; y : float }
 
 let point ~label ~x ~y = { label; x; y }
 
-(* Per-element passes over the candidate list run chunked on the
-   {!Parallel} pool when the population is large enough; chunk results
-   concatenate in index order, so the output is the sequential one
-   regardless of the pool size. *)
-let chunked_filter_map f cores =
-  let arr = Array.of_list cores in
-  let n = Array.length arr in
-  Parallel.map_chunks ~n (fun lo hi ->
-      let acc = ref [] in
-      for i = hi - 1 downto lo do
-        match f arr.(i) with Some v -> acc := v :: !acc | None -> ()
-      done;
-      !acc)
-  |> List.concat
-
 let of_cores ~x ~y cores =
-  chunked_filter_map
+  List.filter_map
     (fun (_, core) ->
       match (Core.merit core x, Core.merit core y) with
       | Some vx, Some vy -> Some { label = core.Core.name; x = vx; y = vy }
@@ -67,11 +52,9 @@ let pareto_front points =
   in
   List.sort by_xy (nan_points @ List.rev (sweep None [] sorted))
 
-(* Quadratic pairwise probe (diagnostic view, not the front itself);
-   each point's scan is independent, so the outer loop chunks over the
-   pool. *)
+(* Quadratic pairwise probe (diagnostic view, not the front itself). *)
 let dominated points =
-  chunked_filter_map
+  List.filter_map
     (fun p -> if List.exists (fun q -> dominates q p) points then Some p else None)
     points
 

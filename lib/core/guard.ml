@@ -18,8 +18,8 @@ exception Out_of_fuel
 
 (* Stack of fuel counters: the innermost [run] owns the head.  Nested
    runs (a guarded closure calling back into guarded library code) each
-   burn their own budget.  The stack is domain-local: parallel sweeps
-   ({!Parallel}) evaluate closures on worker domains concurrently, and
+   burn their own budget.  The stack is domain-local: the exploration
+   service's request worker domains evaluate closures concurrently, and
    each domain's budgets must be its own. *)
 let fuel : int ref list Stdlib.Domain.DLS.key =
   Stdlib.Domain.DLS.new_key (fun () -> [])

@@ -68,6 +68,9 @@ type t = {
       (* shared like [guard]; entries are keyed by constraint state, so
          branches that diverge never share one *)
   use_cache : bool;
+  sig_version : int;
+      (* candidate signature format: 2, or 1 for a lineage resumed from
+         a v1 journal; every session derived from this one keeps it *)
 }
 
 let create ~hierarchy ?(constraints = []) ?(use_cache = true) ~cores () =
@@ -81,6 +84,7 @@ let create ~hierarchy ?(constraints = []) ?(use_cache = true) ~cores () =
     guard = Guard.registry ();
     cache = Compliance.create ();
     use_cache;
+    sig_version = 2;
   }
 
 (* A fresh session over an already-built layer: shares the immutable
@@ -97,7 +101,11 @@ let pristine t =
     trail = Trail.empty ();
     guard = Guard.registry ();
     cache = Compliance.create ();
+    sig_version = 2;
   }
+
+let signature_version t = t.sig_version
+let with_v1_signatures t = { t with sig_version = 1 }
 
 let hierarchy t = t.hierarchy
 let focus t = t.focus
@@ -414,7 +422,7 @@ exception Sweep_fault
    verdicts are skipped, never served.  Faulted evaluations are never
    stored.  Returns what the columnar sweep produces: the survivor
    mask, per constraint the touched/inferior id bitsets of the verdicts
-   it computed, and its counts in the shape of one sweep chunk's. *)
+   it computed, and its per-constraint eliminations, hits and misses. *)
 let sweep_recording t environment store pool elims =
   let universe = Bitset.length pool in
   let keep = Bitset.copy pool in
@@ -462,7 +470,7 @@ let sweep_recording t environment store pool elims =
         elims;
       if !eliminated then Bitset.clear keep id)
     pool;
-  (keep, touched, inferior_bits, [ (elimc, !hits, !misses, false) ])
+  (keep, touched, inferior_bits, elimc, !hits, !misses)
 
 (* The columnar sweep: the same query as [candidates_naive], computed
    incrementally over the index's flat columns and answered as a
@@ -553,66 +561,56 @@ let candidates_bits_memo t =
     let keep = Bitset.copy pool in
     let touched = Array.init n_elims (fun _ -> Bitset.create universe) in
     let inferior_bits = Array.init n_elims (fun _ -> Bitset.create universe) in
-    (* one chunk sweeps ids [lo, hi); quantum 32 makes chunks own
-       disjoint words of [keep]/[touched]/[inferior_bits], so their
-       lockless word writes cannot race *)
-    let sweep_chunk lo hi =
+    (* one word loop over the universe: words outside the pool have a
+       zero keep word and are skipped *)
+    let sweep_words () =
       let elimc = Array.make n_elims 0 in
       let hits = ref 0 and misses = ref 0 in
-      let faulted = ref false in
-      (try
-         for w = lo lsr 5 to ((hi + 31) lsr 5) - 1 do
-           let kw = ref (Bitset.word keep w) in
-           if !kw <> 0 then begin
-             for j = 0 to n_elims - 1 do
-               let e = elims.(j) in
-               if !kw <> 0 && not e.e_quarantined then begin
-                 let known, inf = Compliance.Slot.peek_word e.e_view ~w in
-                 let cached_known = !kw land known in
-                 let unknown = !kw land lnot known in
-                 hits := !hits + Bitset.popcount32 cached_known;
-                 misses := !misses + Bitset.popcount32 unknown;
-                 let new_elim = ref 0 in
-                 if unknown <> 0 then begin
-                   (match e.e_kernel with
-                   | Some kernel -> new_elim := kernel w unknown land unknown
-                   | None ->
-                     let eval id =
-                       match
-                         Guard.run (fun () -> e.e_inferior environment (Columnar.core store id))
-                       with
-                       | Ok v -> v
-                       | Error _ -> raise_notrace Sweep_fault
-                     in
-                     let bits = ref unknown in
-                     while !bits <> 0 do
-                       let b = !bits land - !bits in
-                       if eval ((w lsl 5) + Bitset.popcount32 (b - 1)) then
-                         new_elim := !new_elim lor b;
-                       bits := !bits land (!bits - 1)
-                     done);
-                   Bitset.set_word touched.(j) w (Bitset.word touched.(j) w lor unknown);
-                   Bitset.set_word inferior_bits.(j) w
-                     (Bitset.word inferior_bits.(j) w lor !new_elim)
-                 end;
-                 let elim_w = (cached_known land inf) lor !new_elim in
-                 if elim_w <> 0 then begin
-                   elimc.(j) <- elimc.(j) + Bitset.popcount32 elim_w;
-                   kw := !kw land lnot elim_w
-                 end
-               end
-             done;
-             Bitset.set_word keep w !kw
-           end
-         done
-       with
-      | Sweep_fault -> faulted := true
-      | _ ->
-        (* a kernel (layer code running outside Guard) threw: degrade
-           to the recording fallback, where every evaluation runs a
-           guarded closure *)
-        faulted := true);
-      (elimc, !hits, !misses, !faulted)
+      for w = 0 to Bitset.word_count keep - 1 do
+        let kw = ref (Bitset.word keep w) in
+        if !kw <> 0 then begin
+          for j = 0 to n_elims - 1 do
+            let e = elims.(j) in
+            if !kw <> 0 && not e.e_quarantined then begin
+              let known, inf = Compliance.Slot.peek_word e.e_view ~w in
+              let cached_known = !kw land known in
+              let unknown = !kw land lnot known in
+              hits := !hits + Bitset.popcount32 cached_known;
+              misses := !misses + Bitset.popcount32 unknown;
+              let new_elim = ref 0 in
+              if unknown <> 0 then begin
+                (match e.e_kernel with
+                | Some kernel -> new_elim := kernel w unknown land unknown
+                | None ->
+                  let eval id =
+                    match
+                      Guard.run (fun () -> e.e_inferior environment (Columnar.core store id))
+                    with
+                    | Ok v -> v
+                    | Error _ -> raise_notrace Sweep_fault
+                  in
+                  let bits = ref unknown in
+                  while !bits <> 0 do
+                    let b = !bits land - !bits in
+                    if eval ((w lsl 5) + Bitset.popcount32 (b - 1)) then
+                      new_elim := !new_elim lor b;
+                    bits := !bits land (!bits - 1)
+                  done);
+                Bitset.set_word touched.(j) w (Bitset.word touched.(j) w lor unknown);
+                Bitset.set_word inferior_bits.(j) w
+                  (Bitset.word inferior_bits.(j) w lor !new_elim)
+              end;
+              let elim_w = (cached_known land inf) lor !new_elim in
+              if elim_w <> 0 then begin
+                elimc.(j) <- elimc.(j) + Bitset.popcount32 elim_w;
+                kw := !kw land lnot elim_w
+              end
+            end
+          done;
+          Bitset.set_word keep w !kw
+        end
+      done;
+      (keep, touched, inferior_bits, elimc, !hits, !misses)
     in
     let elim_total = Array.make n_elims 0 in
     let hits_total = ref 0 and misses_total = ref 0 in
@@ -654,28 +652,21 @@ let candidates_bits_memo t =
               ("fallback", if !was_fallback then "true" else "false");
             ])
       (fun () ->
-        let chunks =
-          Parallel.map_chunks ~quantum:Bitset.bits_per_word ~n:universe sweep_chunk
-        in
-        let keep, touched, inferior_bits, counts =
-          if List.exists (fun (_, _, _, faulted) -> faulted) chunks then begin
-            (* a closure faulted (or a kernel threw): discard every
-               chunk's masks and replay sequentially with the guarded
-               closures, recording faults/strikes/quarantines in exact
-               sequential encounter order (successful verdicts are
-               deterministic and were never published, so
+        let keep, touched, inferior_bits, elimc, hits, misses =
+          try sweep_words ()
+          with _ ->
+            (* a closure faulted ([Sweep_fault]) or a kernel (layer code
+               running outside Guard) threw: discard the masks and replay
+               with the guarded closures, recording faults/strikes/
+               quarantines in exact encounter order (successful verdicts
+               are deterministic and were never published, so
                re-evaluating them has no side effects) *)
             was_fallback := true;
             sweep_recording t environment store pool elims
-          end
-          else (keep, touched, inferior_bits, chunks)
         in
-        List.iter
-          (fun (elimc, hits, misses, _) ->
-            Array.iteri (fun j c -> elim_total.(j) <- elim_total.(j) + c) elimc;
-            hits_total := !hits_total + hits;
-            misses_total := !misses_total + misses)
-          counts;
+        Array.blit elimc 0 elim_total 0 n_elims;
+        hits_total := hits;
+        misses_total := misses;
         Array.iteri
           (fun j e ->
             Compliance.Slot.merge_bits e.e_slot ~touched:touched.(j)
@@ -689,9 +680,10 @@ let candidates_bits_memo t =
 (* The survivor set of the current state, served from the lineage cache
    or computed by the columnar sweep.  Quarantine may advance while
    computing, but it is monotone: the pre-computation key can never
-   recur, so storing under it is safe (the entry just goes dead). *)
-let survivor_set t =
-  let key = state_signature t in
+   recur, so storing under it is safe (the entry just goes dead).
+   [key] is [state_signature t]: a caller that also keys its own memo
+   by it builds it once and passes it in. *)
+let survivor_set t ~key =
   match Compliance.find_survivor_set t.cache ~key with
   | Some sv -> sv
   | None -> Compliance.store_survivor_bits t.cache ~key (candidates_bits_memo t)
@@ -704,7 +696,8 @@ let candidates t =
        survivor for as long as the state stays in the table, and every
        read the service serves (count, id page, signature, ranges) works
        off the bitset instead *)
-    Bitset.map_true (Index.entry_at t.index) (survivor_set t).Compliance.sv_bits
+    Bitset.map_true (Index.entry_at t.index)
+      (survivor_set t ~key:(state_signature t)).Compliance.sv_bits
 
 let cache_stats t = Compliance.stats t.cache
 let population t = Index.all t.index
@@ -713,7 +706,7 @@ let candidate_count t =
   if not t.use_cache then List.length (candidates_naive t)
   else
     (* by popcount — no million-cons list just to take its length *)
-    Compliance.survivor_count (survivor_set t)
+    Compliance.survivor_count (survivor_set t ~key:(state_signature t))
 
 (* The count by popcount and the first [max] ids by an early-exit walk:
    a page of a large bitset set never builds the candidate list. *)
@@ -724,7 +717,7 @@ let candidate_page t ~max =
     (List.length survivors, List.filteri (fun i _ -> i < take) survivors |> List.map fst)
   end
   else begin
-    let sv = survivor_set t in
+    let sv = survivor_set t ~key:(state_signature t) in
     let store = Index.columnar t.index in
     ( Compliance.survivor_count sv,
       List.map (Columnar.qid store) (Bitset.take_true sv.Compliance.sv_bits take) )
@@ -738,7 +731,8 @@ let merit_summaries t ~merits =
     let survivors = candidates t in
     List.map (fun merit -> Evaluation.merit_summary survivors ~merit) merits
   else begin
-    let prefix = state_signature t ^ "#" in
+    let key = state_signature t in
+    let prefix = key ^ "#" in
     let found = List.map (fun m -> (m, Compliance.find_summary t.cache ~key:(prefix ^ m))) merits in
     let misses = List.filter_map (function m, None -> Some m | _, Some _ -> None) found in
     let misses = List.sort_uniq String.compare misses in
@@ -749,7 +743,7 @@ let merit_summaries t ~merits =
           ~attrs:[ ("merit", String.concat "," misses); ("cached", "false") ]
           (fun () ->
             (* straight off the merit columns — no candidate list *)
-            let bits = (survivor_set t).Compliance.sv_bits in
+            let bits = (survivor_set t ~key).Compliance.sv_bits in
             List.combine misses
               (Evaluation.merit_summary_columnar (Index.columnar t.index) bits ~merits:misses))
     in
@@ -996,9 +990,12 @@ let estimates t =
 (* The designer-visible state, digested.  Unlike [state_signature]
    (cache-keying: constraint state keys and quarantine flags), this
    covers exactly what a client of the exploration service can observe:
-   focus, all bindings with their sources, and the candidate ids.
+   focus, all bindings with their sources, and the candidate set.
    Replaying a journal into a fresh lineage must reproduce it bit for
-   bit. *)
+   bit.  v2 digests the survivor bitset's words behind the layer's
+   fingerprint ({!Columnar.digest_bits}); v1 digests every survivor's
+   ["#" ^ qid] ({!Columnar.digest_ids}) and signs only lineages resumed
+   from v1 journals. *)
 let candidate_signature t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (focus_key t);
@@ -1016,29 +1013,55 @@ let candidate_signature t =
          Buffer.add_char buf '|';
          Buffer.add_string buf entry);
   let prefix = Buffer.contents buf in
+  let store = Index.columnar t.index in
   if not t.use_cache then begin
-    List.iter
-      (fun (qid, _) ->
-        Buffer.add_char buf '#';
-        Buffer.add_string buf qid)
-      (candidates t);
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    let survivors = candidates_naive t in
+    if t.sig_version = 1 then begin
+      List.iter
+        (fun (qid, _) ->
+          Buffer.add_char buf '#';
+          Buffer.add_string buf qid)
+        survivors;
+      Digest.to_hex (Digest.string (Buffer.contents buf))
+    end
+    else begin
+      (* the naive list is an ascending-id subsequence of the focus
+         subtree's entries, so one walk of its mask, next to the list,
+         maps each candidate to its dense id *)
+      let bits = Bitset.create (Index.size t.index) in
+      let rest =
+        Bitset.fold_true
+          (fun rest id ->
+            match rest with
+            | entry :: tl when entry == Index.entry_at t.index id ->
+              Bitset.set bits id;
+              tl
+            | _ -> rest)
+          survivors
+          (Index.under_bits t.index t.focus)
+      in
+      if rest <> [] then failwith "Session.candidate_signature: candidates out of index order";
+      Digest.to_hex (Columnar.digest_bits store ~prefix bits)
+    end
   end
   else begin
-    (* The candidate list is a function of the state signature (that is
-       the survivor cache's contract), so (observable prefix, state
-       signature) determines the digest; a memo hit returns exactly the
-       bytes the full walk over the pool would have produced. *)
-    let key = prefix ^ "\x01" ^ state_signature t in
+    (* The candidate set is a function of the state signature (that is
+       the survivor cache's contract), so (observable prefix, version,
+       state signature) determines the digest; the version byte
+       separates the prefix from the state key, so a memo hit returns
+       exactly the bytes a fresh digest would have produced. *)
+    let state = state_signature t in
+    let key = prefix ^ (if t.sig_version = 1 then "\x01" else "\x02") ^ state in
     match Compliance.find_signature t.cache ~key with
     | Some digest -> digest
     | None ->
+      let bits = (survivor_set t ~key:state).Compliance.sv_bits in
       (* ascending dense ids are index insertion order, so the id
-         image's runs are exactly the bytes the list walk appends *)
+         image's runs are exactly the bytes the v1 list walk appends *)
       let digest =
         Digest.to_hex
-          (Columnar.digest_ids (Index.columnar t.index) ~prefix
-             (survivor_set t).Compliance.sv_bits)
+          (if t.sig_version = 1 then Columnar.digest_ids store ~prefix bits
+           else Columnar.digest_bits store ~prefix bits)
       in
       Compliance.store_signature t.cache ~key digest;
       digest

@@ -87,8 +87,8 @@ val pristine : t -> t
     immutable structure (hierarchy, constraints and the built candidate
     index — the expensive part of {!create}) and nothing else.  Focus
     returns to the root; bindings, trail, guard registry and compliance
-    cache start empty, so the result is observably
-    identical to a new {!create} over the same inputs.  The exploration
+    cache start empty and it signs in format v2, so the result is
+    observably identical to a new {!create} over the same inputs.  The exploration
     service uses this to hand each session a private lineage from one
     cached parsed layer. *)
 
@@ -214,14 +214,33 @@ val estimates : t -> (string * (string * float) list) list
 val candidate_signature : t -> string
 (** A stable hex digest of the session's designer-visible state: the
     focus path, every binding (name, value and source, sorted), and the
-    surviving candidate ids in index order.  Two sessions over the same
-    hierarchy, constraints and population have equal signatures exactly
-    when a designer could not tell them apart by querying focus,
-    bindings or candidates — the check the exploration service's
-    journal replay is verified against (see {!Ds_serve.Journal}).
-    Cache internals (constraint state keys, hit counters) never enter
-    the digest, so a cached and an uncached lineage that agree on the
-    visible state sign identically. *)
+    surviving candidates.  Two sessions over the same hierarchy,
+    constraints and population have equal signatures exactly when a
+    designer could not tell them apart by querying focus, bindings or
+    candidates — the check the exploration service's journal replay is
+    verified against (see {!Ds_serve.Journal}).  Cache internals
+    (constraint state keys, hit counters) never enter the digest, so a
+    cached and an uncached lineage that agree on the visible state sign
+    identically.
+
+    The lineage's {!signature_version} picks the format.  v2 (every new
+    lineage) digests the observable prefix, the layer's
+    {!Columnar.fingerprint} and the survivor bitset's words
+    ({!Columnar.digest_bits}): its cost is one pass over the bitset,
+    not over the survivors' ids.  v1 digests the prefix and every
+    survivor's ["#" ^ qid] in index order ({!Columnar.digest_ids}).  v2
+    is stricter: it also changes when the layer's core set changes
+    while the survivors' qids do not. *)
+
+val signature_version : t -> int
+(** 2 for every lineage from {!create} or {!pristine}; 1 after
+    {!with_v1_signatures}.  Carried by every session derived from this
+    one. *)
+
+val with_v1_signatures : t -> t
+(** The same session, signing in format v1 from here on — for a
+    lineage resumed from a journal or snapshot written in v1, which
+    keeps appending v1 signatures. *)
 
 val script : t -> (string * Value.t) list
 (** The designer-made bindings in the order they were entered —

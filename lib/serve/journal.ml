@@ -2,6 +2,11 @@ type header = { session : string; layer : string; eol : int; base : int }
 
 type entry = { req : Jsonx.t; signature : string }
 
+type loaded = { header : header; sig_version : int; entries : entry list }
+
+(* the format of every journal this module creates unless told otherwise *)
+let latest_sig_version = 2
+
 (* Appends are serialized by [lock]; in sync mode the fsync itself is
    group-committed: an appender needing durability calls [sync_to] with
    its entry's sequence number, and whichever caller finds no fsync in
@@ -59,7 +64,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let header_json h =
+let header_json ~sig_version h =
   Jsonx.Obj
     [
       ("journal", Jsonx.Str "dse-session");
@@ -68,7 +73,20 @@ let header_json h =
       ("layer", Jsonx.Str h.layer);
       ("eol", Jsonx.Int h.eol);
       ("base", Jsonx.Int h.base);
+      ("sig_version", Jsonx.Int sig_version);
     ]
+
+(* The signature format of a journal or snapshot header: files written
+   before v2 carry no field and are v1.  An unknown version fails the
+   load rather than verify against the wrong function. *)
+let sig_version_of_json json =
+  match Jsonx.member "sig_version" json with
+  | None -> Ok 1
+  | Some v -> (
+    match Jsonx.to_int v with
+    | Some (1 | 2 as n) -> Ok n
+    | Some _ | None ->
+      Error (Printf.sprintf "journal: unsupported signature version %s" (Jsonx.to_string v)))
 
 let header_of_json json =
   match
@@ -146,7 +164,7 @@ let write_line ?(entry = true) t line =
   Mutex.unlock t.lock;
   r
 
-let create ?(sync = false) ~dir header =
+let create ?(sync = false) ?(sig_version = latest_sig_version) ~dir header =
   match
     guard_io (fun () ->
         mkdir_p dir;
@@ -155,7 +173,7 @@ let create ?(sync = false) ~dir header =
   | Error _ as e -> e
   | Ok fd -> (
     let t = make_t ~fd ~sync in
-    match write_line ~entry:false t (Jsonx.to_string (header_json header)) with
+    match write_line ~entry:false t (Jsonx.to_string (header_json ~sig_version header)) with
     | Ok _ -> (
       if not sync then Ok t
       else
@@ -339,13 +357,13 @@ let load ~dir ~id =
       | [] -> Error "journal: empty journal (missing header)"
       | header_line :: entry_lines -> (
         let ( let* ) = Result.bind in
-        let* header =
-          match Jsonx.of_string header_line with
-          | Error msg -> Error ("journal: header: " ^ msg)
-          | Ok json -> header_of_json json
+        let* json =
+          Result.map_error (fun msg -> "journal: header: " ^ msg) (Jsonx.of_string header_line)
         in
+        let* header = header_of_json json in
+        let* sig_version = sig_version_of_json json in
         let* entries = parse_entries ~first_line:2 entry_lines in
-        Ok (header, entries)))
+        Ok { header; sig_version; entries }))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -356,6 +374,7 @@ type snapshot = {
   snap_eol : int;
   snap_base : int; (* journal entries this checkpoint subsumes *)
   snap_signature : string; (* candidate signature at the checkpoint *)
+  snap_sig_version : int; (* the format of every signature it records *)
   snap_entries : entry list; (* compacted script reproducing that state *)
 }
 
@@ -385,6 +404,7 @@ let snapshot_header_json s ~checksum =
       ("eol", Jsonx.Int s.snap_eol);
       ("base", Jsonx.Int s.snap_base);
       ("sig", Jsonx.Str s.snap_signature);
+      ("sig_version", Jsonx.Int s.snap_sig_version);
       ("checksum", Jsonx.Str checksum);
     ]
 
@@ -462,6 +482,7 @@ let load_snapshot ~dir ~id =
           | Some s, Some l, Some e, Some b, Some g, Some c when b >= 0 -> Ok (s, l, e, b, g, c)
           | _ -> Error "journal: malformed snapshot header"
         in
+        let* snap_sig_version = sig_version_of_json json in
         let entry_lines = List.filter (fun l -> not (String.equal l "")) entry_lines in
         let* () =
           let actual = checksum_lines entry_lines in
@@ -472,15 +493,24 @@ let load_snapshot ~dir ~id =
                  checksum actual)
         in
         let* snap_entries = parse_entries ~first_line:2 entry_lines in
-        Ok { snap_session; snap_layer; snap_eol; snap_base; snap_signature; snap_entries }))
+        Ok
+          {
+            snap_session;
+            snap_layer;
+            snap_eol;
+            snap_base;
+            snap_signature;
+            snap_sig_version;
+            snap_entries;
+          }))
 
 let remove_snapshot ~dir ~id =
   try Sys.remove (snapshot_path ~dir ~id) with Sys_error _ -> ()
 
-let rewrite ?(sync = false) ~dir header entries =
+let rewrite ?(sync = false) ?(sig_version = latest_sig_version) ~dir header entries =
   let final = path ~dir ~id:header.session in
   let tmp = final ^ ".tmp" in
-  let lines = Jsonx.to_string (header_json header) :: List.map entry_line entries in
+  let lines = Jsonx.to_string (header_json ~sig_version header) :: List.map entry_line entries in
   match
     guard_io (fun () ->
         mkdir_p dir;
@@ -519,8 +549,8 @@ let rewrite ?(sync = false) ~dir header entries =
    verified exactly that before any truncation happened. *)
 let load_effective ~dir ~id =
   let ( let* ) = Result.bind in
-  let* header, tail = load ~dir ~id in
-  if header.base = 0 then Ok (header, tail)
+  let* ({ header; sig_version; entries = tail } as loaded) = load ~dir ~id in
+  if header.base = 0 then Ok loaded
   else
     let* snap = load_snapshot ~dir ~id in
     let total = header.base + List.length tail in
@@ -531,15 +561,22 @@ let load_effective ~dir ~id =
            snap.snap_base header.base total id)
     else if not (String.equal snap.snap_layer header.layer) || snap.snap_eol <> header.eol then
       Error (Printf.sprintf "journal: snapshot layer mismatch for %S" id)
+    else if snap.snap_sig_version <> sig_version then
+      Error (Printf.sprintf "journal: snapshot signature version mismatch for %S" id)
     else begin
       let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
-      Ok ({ header with base = 0 }, snap.snap_entries @ drop (snap.snap_base - header.base) tail)
+      Ok
+        {
+          header = { header with base = 0 };
+          sig_version;
+          entries = snap.snap_entries @ drop (snap.snap_base - header.base) tail;
+        }
     end
 
 let branch ?(sync = false) ~dir ~from_id ~to_id () =
   let ( let* ) = Result.bind in
-  let* header, entries = load_effective ~dir ~id:from_id in
-  let* t = create ~sync ~dir { header with session = to_id } in
+  let* { header; sig_version; entries } = load_effective ~dir ~id:from_id in
+  let* t = create ~sync ~sig_version ~dir { header with session = to_id } in
   let result =
     List.fold_left
       (fun acc e ->

@@ -13,7 +13,7 @@
     {2 File format}
 
     Line 1 — the header:
-    [{"journal":"dse-session","format":1,"session":ID,"layer":L,"eol":N,"base":B}]
+    [{"journal":"dse-session","format":1,"session":ID,"layer":L,"eol":N,"base":B,"sig_version":V}]
 
     [base] is the number of journal entries subsumed by the session's
     snapshot (0 until the journal is first compacted; absent in
@@ -29,12 +29,24 @@
     changed since the journal was written) fails the resume instead of
     silently handing the designer a different design space.
 
+    [sig_version] names the signature format of every [sig] in the file
+    (and in its snapshot): 2 — the MD5 of the observable state, the
+    layer's fingerprint and the survivor bitset
+    ({!Ds_layer.Columnar.digest_bits}) — for every journal created
+    today; 1 — the MD5 of the observable state and every survivor's
+    qid ({!Ds_layer.Columnar.digest_ids}) — for a header without the
+    field, i.e. a journal written before v2.  A lineage keeps its
+    version for life: a resumed v1 lineage appends v1 signatures, and
+    its compactions and branches write v1 headers.  Any other version
+    fails the load.
+
     {2 Snapshots and compaction}
 
     A snapshot ([<id>.snapshot]) is a checksummed checkpoint: the
     {e compacted script} (current designer bindings + annotations, far
     shorter than the raw history), the candidate signature it must
-    reproduce, and [base] — how many journal entries it subsumes.  The
+    reproduce, its [sig_version] (the journal's), and [base] — how many
+    journal entries it subsumes.  The
     writer is expected to have {e verification-replayed} the compacted
     script before calling {!write_snapshot} (the service does; a
     compacted script can in principle diverge from history replay when
@@ -74,6 +86,10 @@ type header = { session : string; layer : string; eol : int; base : int }
 
 type entry = { req : Jsonx.t; signature : string }
 
+type loaded = { header : header; sig_version : int; entries : entry list }
+(** A journal as read back: its header, the signature format of its
+    entries ([sig_version], 1 or 2) and its entries. *)
+
 type t
 (** An open journal, positioned for appending. *)
 
@@ -82,8 +98,9 @@ val path : dir:string -> id:string -> string
 
 val exists : dir:string -> id:string -> bool
 
-val create : ?sync:bool -> dir:string -> header -> (t, string) result
-(** Truncate/create the file and write the header.  [sync] (default
+val create : ?sync:bool -> ?sig_version:int -> dir:string -> header -> (t, string) result
+(** Truncate/create the file and write the header, recording
+    [sig_version] (default 2) as the format of its signatures.  [sync] (default
     [false]) makes acknowledged entries fsync-durable (via {!sync_to})
     — full crash-safety against power loss, at a per-request cost; the
     default survives process death (the flush reaches the kernel) which
@@ -129,8 +146,9 @@ val sync_stats : t -> sync_stats
 
 val close : t -> unit
 
-val load : dir:string -> id:string -> (header * entry list, string) result
-(** Parse the whole journal file — header (with its [base]) and the
+val load : dir:string -> id:string -> (loaded, string) result
+(** Parse the whole journal file — header (with its [base] and
+    [sig_version]) and the
     {e tail} entries only; a compacted journal's history before [base]
     lives in the snapshot.  Errors on a missing file, a bad header, or
     a malformed entry line (the line number is reported); a trailing
@@ -153,6 +171,7 @@ type snapshot = {
   snap_eol : int;
   snap_base : int;
   snap_signature : string;
+  snap_sig_version : int;  (** format of every signature recorded, as in the journal header *)
   snap_entries : entry list;
 }
 
@@ -178,26 +197,29 @@ val load_snapshot : dir:string -> id:string -> (snapshot, string) result
 val remove_snapshot : dir:string -> id:string -> unit
 (** Best-effort delete (idempotent). *)
 
-val rewrite : ?sync:bool -> dir:string -> header -> entry list -> (t, string) result
-(** Atomically replace the journal file with [header] + the given tail,
+val rewrite :
+  ?sync:bool -> ?sig_version:int -> dir:string -> header -> entry list -> (t, string) result
+(** Atomically replace the journal file with [header] (recording
+    [sig_version], default 2) + the given tail,
     returning a handle already positioned for appending (the descriptor
     survives the rename).  Same publish discipline as
     {!write_snapshot}; on failure the old journal file is intact (the
     caller should reopen it with {!open_append}). *)
 
-val load_effective : dir:string -> id:string -> (header * entry list, string) result
+val load_effective : dir:string -> id:string -> (loaded, string) result
 (** The session's full effective history: the snapshot's compacted
     script followed by the tail entries it does not subsume (or just
     the raw journal when never compacted).  Errors if the journal is
-    compacted and the snapshot is unusable — that lineage cannot be
-    reconstructed.  The returned header has [base] 0: the entry list
+    compacted and the snapshot is unusable (including a snapshot whose
+    signature version differs from the journal's) — that lineage cannot
+    be reconstructed.  The returned header has [base] 0: the entry list
     is self-contained. *)
 
 val branch :
   ?sync:bool -> dir:string -> from_id:string -> to_id:string -> unit -> (unit, string) result
 (** Copy [from_id]'s {e effective} history — snapshot script + tail if
     compacted, the raw journal otherwise — as the starting history of
-    [to_id] (header rewritten, [base] 0): a branched session resumes
+    [to_id] (header rewritten, [base] 0, same [sig_version]): a branched session resumes
     independently of its parent and never shares its snapshot file. *)
 
 val remove : dir:string -> id:string -> unit

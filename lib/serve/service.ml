@@ -242,12 +242,15 @@ type resume_info = {
   r_fallback : bool; (* a snapshot existed but full history was used *)
 }
 
-let layer_factory ~layers ~id header =
+(* A fresh session for a journal's lineage, signing in the journal's
+   signature version: the layer hands out v2 sessions, and a lineage
+   read from a v1 file stays v1 — the only switch to v1 there is. *)
+let layer_factory ~layers ~id ~sig_version header =
   match List.assoc_opt header.Journal.layer layers with
   | Some make -> (
     fun () ->
       match make ~eol:header.Journal.eol with
-      | s -> Ok s
+      | s -> Ok (if sig_version = 1 then Session.with_v1_signatures s else s)
       | exception e -> Error ("layer factory failed: " ^ Printexc.to_string e))
   | None ->
     fun () ->
@@ -256,8 +259,8 @@ let layer_factory ~layers ~id header =
            header.Journal.layer)
 
 let resume ?(prefer_snapshot = true) ~layers ~dir ~id () =
-  let* header, tail = Journal.load ~dir ~id in
-  let make_fresh = layer_factory ~layers ~id header in
+  let* { Journal.header; sig_version; entries = tail } = Journal.load ~dir ~id in
+  let make_fresh = layer_factory ~layers ~id ~sig_version header in
   let tail_len = List.length tail in
   let total = header.Journal.base + tail_len in
   let finish ~from_snapshot ~fallback ~snap_applied (s, n) =
@@ -291,6 +294,7 @@ let resume ?(prefer_snapshot = true) ~layers ~dir ~id () =
            && snap.Journal.snap_base <= total
            && String.equal snap.Journal.snap_layer header.Journal.layer
            && snap.Journal.snap_eol = header.Journal.eol
+           && snap.Journal.snap_sig_version = sig_version
            && (prefer_snapshot || header.Journal.base > 0) ->
       Some snap
     | _ -> None
@@ -404,9 +408,10 @@ let compacted_script ~id live ~history =
    constraint), and this verification — not the writer's good
    intentions — is what makes truncating the history safe: on any
    mismatch compaction is refused and the full journal stays. *)
-let build_snapshot t ~id ~layer ~eol ~base ~live ~history =
+let build_snapshot t ~id ~layer ~eol ~base ~sig_version ~live ~history =
   let make_fresh =
-    layer_factory ~layers:t.cfg.layers ~id { Journal.session = id; layer; eol; base = 0 }
+    layer_factory ~layers:t.cfg.layers ~id ~sig_version
+      { Journal.session = id; layer; eol; base = 0 }
   in
   let* fresh = make_fresh () in
   let* final, _, entries_rev =
@@ -434,6 +439,7 @@ let build_snapshot t ~id ~layer ~eol ~base ~live ~history =
         snap_eol = eol;
         snap_base = base;
         snap_signature = live_sig;
+        snap_sig_version = sig_version;
         snap_entries = List.rev entries_rev;
       }
 
@@ -445,24 +451,24 @@ let build_snapshot t ~id ~layer ~eol ~base ~live ~history =
    snapshot AND the full journal: both lineages replay to the same
    state. *)
 let checkpoint t ~dir ~id ~live ~skipped ~swap =
-  let* header, tail = Journal.load ~dir ~id in
+  let* { Journal.header; sig_version; entries = tail } = Journal.load ~dir ~id in
   let total = header.Journal.base + List.length tail in
   match tail with
   | [] -> Ok (skipped total) (* tail already empty: nothing to gain *)
   | _ :: _ ->
-    let* _, history = Journal.load_effective ~dir ~id in
+    let* { Journal.entries = history; _ } = Journal.load_effective ~dir ~id in
     let* snap =
       build_snapshot t ~id ~layer:header.Journal.layer ~eol:header.Journal.eol ~base:total
-        ~live ~history
+        ~sig_version ~live ~history
     in
     let* () = Journal.write_snapshot ~dir snap in
-    swap total { header with Journal.base = total }
+    swap total ~sig_version { header with Journal.base = total }
 
 (* Compact a session whose journal handle is closed (evicted, or never
    resident): the truncated journal is written and closed again. *)
 let compact_files t ~dir ~id ~live =
-  checkpoint t ~dir ~id ~live ~skipped:Fun.id ~swap:(fun total header ->
-      let* j = Journal.rewrite ~sync:t.cfg.journal_sync ~dir header [] in
+  checkpoint t ~dir ~id ~live ~skipped:Fun.id ~swap:(fun total ~sig_version header ->
+      let* j = Journal.rewrite ~sync:t.cfg.journal_sync ~sig_version ~dir header [] in
       Journal.close j;
       Ok total)
 
@@ -474,9 +480,9 @@ let compact_live t ~dir m (entry : Store.entry) ~id j =
   let* () = Journal.sync_all j in
   checkpoint t ~dir ~id ~live:entry.Store.session
     ~skipped:(fun total -> (total, entry))
-    ~swap:(fun total header ->
+    ~swap:(fun total ~sig_version header ->
       Journal.close j;
-      match Journal.rewrite ~sync:t.cfg.journal_sync ~dir header [] with
+      match Journal.rewrite ~sync:t.cfg.journal_sync ~sig_version ~dir header [] with
       | Ok j' ->
         let entry' = { entry with Store.journal = Some j' } in
         Store.commit_mutation m entry';
@@ -715,7 +721,8 @@ let handle_open t ~session ~layer ~eol ~resume:resume_flag =
         | None -> Ok None
         | Some dir ->
           Result.map Option.some
-            (Journal.create ~sync:t.cfg.journal_sync ~dir
+            (Journal.create ~sync:t.cfg.journal_sync
+               ~sig_version:(Session.signature_version s) ~dir
                { Journal.session = id; layer; eol; base = 0 })
       in
       match journal with

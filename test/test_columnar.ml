@@ -1,8 +1,7 @@
 (* Unit tests for the columnar sweep substrate: bitsets against a
    bool-array oracle, packed verdict slots (word reads vs per-id reads,
    the bitset merge, restamping), the clock cache's second-chance
-   eviction, the columnar store against per-core lookups, and the
-   quantum-aligned chunk boundaries the parallel sweep relies on. *)
+   eviction, and the columnar store against per-core lookups. *)
 
 open Ds_layer
 module Core = Ds_reuse.Core
@@ -517,38 +516,6 @@ let test_merit_summary_fused () =
         [ [ "a"; "b"; "c"; "z" ]; [ "b"; "z"; "b" ]; [ "a"; "absent"; "c" ]; [ "absent" ]; [] ])
     bitsets
 
-(* ------------------------------------------------------------------ *)
-(* Quantum-aligned chunk boundaries                                    *)
-
-let test_parallel_quantum () =
-  let d0 = Parallel.domain_count () and t0 = Parallel.chunk_threshold () in
-  Parallel.set_domain_count 4;
-  Parallel.set_chunk_threshold 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.set_domain_count d0;
-      Parallel.set_chunk_threshold t0)
-    (fun () ->
-      List.iter
-        (fun (n, quantum) ->
-          let chunks = Parallel.map_chunks ~quantum ~n (fun lo hi -> (lo, hi)) in
-          let ctx = Printf.sprintf "n=%d q=%d" n quantum in
-          (* contiguous cover of [0, n) in order *)
-          let last =
-            List.fold_left
-              (fun prev (lo, hi) ->
-                Alcotest.(check int) (ctx ^ ": contiguous") prev lo;
-                Alcotest.(check bool) (ctx ^ ": ordered") true (lo <= hi);
-                (* interior boundaries sit on quantum multiples, so
-                   chunks own disjoint bitset words *)
-                if lo < n then
-                  Alcotest.(check int) (ctx ^ ": aligned") 0 (lo mod quantum);
-                hi)
-              0 chunks
-          in
-          Alcotest.(check int) (ctx ^ ": covers") n last)
-        [ (0, 32); (1, 32); (31, 32); (32, 32); (33, 32); (100, 32); (1000, 32); (7, 4) ])
-
 let () =
   Alcotest.run "columnar"
     [
@@ -580,6 +547,4 @@ let () =
           Alcotest.test_case "merit summary" `Quick test_merit_summary_columnar;
           Alcotest.test_case "fused merit summaries" `Quick test_merit_summary_fused;
         ] );
-      ( "parallel",
-        [ Alcotest.test_case "quantum boundaries" `Quick test_parallel_quantum ] );
     ]

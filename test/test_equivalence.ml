@@ -285,22 +285,12 @@ let test_revisit_hits () =
   Alcotest.(check string) "same signature" signature (Session.candidate_signature back)
 
 (* -------------------------------------------------------------------- *)
-(* Parallel vs sequential: the chunked sweep (PR 4) must be bit-identical
-   to the single-chunk path — same candidates, same signatures, same
-   merit summaries, same fault-and-quarantine timeline.  The pool size
-   and chunk threshold are process-global, so each side of the
-   differential re-runs the whole walk from a fresh session under its
-   own setting.                                                          *)
-
-let with_parallel ~domains ~threshold f =
-  let d0 = Parallel.domain_count () and t0 = Parallel.chunk_threshold () in
-  Parallel.set_domain_count domains;
-  Parallel.set_chunk_threshold threshold;
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.set_domain_count d0;
-      Parallel.set_chunk_threshold t0)
-    f
+(* Whole walks, columnar sweep vs naive recompute: the cached lineage
+   must be bit-identical to the [~use_cache:false] one at every step —
+   same candidates, same signatures, same merit summaries, same
+   fault-and-quarantine timeline.  Each side re-runs the whole walk
+   from a fresh session.  (The group keeps the name it had when the
+   sweep also ran chunked on a domain pool.)                             *)
 
 (* One full observation of a session: everything a service client could
    see that the sweep feeds into. *)
@@ -326,7 +316,7 @@ let run_walk ?merits mk steps =
     steps
   |> snd |> List.rev
 
-let check_walks_agree ~name sequential parallel =
+let check_walks_agree ~name expected actual =
   List.iter2
     (fun (label, (ids_s, sig_s, sum_s, health_s)) (label', (ids_p, sig_p, sum_p, health_p)) ->
       let ctx = Printf.sprintf "%s/%s" name label in
@@ -335,7 +325,7 @@ let check_walks_agree ~name sequential parallel =
       Alcotest.(check string) (ctx ^ ": signature") sig_s sig_p;
       Alcotest.(check bool) (ctx ^ ": merit summaries") true (sum_s = sum_p);
       Alcotest.(check (list (pair string string))) (ctx ^ ": health") health_s health_p)
-    sequential parallel
+    expected actual
 
 let syn_walk_steps =
   let rebind name v s = Result.bind (Session.retract s name) (fun s -> Session.set s name v) in
@@ -350,26 +340,24 @@ let syn_walk_steps =
   ]
 
 let test_parallel_differential () =
-  let walk () = run_walk (fun () -> Syn.session syn_spec) syn_walk_steps in
-  let sequential = with_parallel ~domains:1 ~threshold:1 walk in
-  let parallel = with_parallel ~domains:4 ~threshold:1 walk in
-  check_walks_agree ~name:"par-vs-seq" sequential parallel
+  let walk use_cache = run_walk (fun () -> Syn.session ~use_cache syn_spec) syn_walk_steps in
+  check_walks_agree ~name:"naive-vs-seq" (walk false) (walk true)
 
 let test_parallel_differential_crypto () =
-  let walk () =
-    run_walk (fun () -> CL.session ~cores:(crypto_cores ())) crypto_steps
+  let walk use_cache =
+    run_walk
+      (fun () ->
+        Session.create ~use_cache ~hierarchy:CL.hierarchy ~constraints:CL.constraints
+          ~cores:(crypto_cores ()) ())
+      crypto_steps
   in
-  let sequential = with_parallel ~domains:1 ~threshold:1 walk in
-  let parallel = with_parallel ~domains:4 ~threshold:1 walk in
-  check_walks_agree ~name:"par-vs-seq-crypto" sequential parallel
+  check_walks_agree ~name:"naive-vs-seq-crypto" (walk false) (walk true)
 
-(* Under injected faults the parallel sweep abandons its optimistic
-   chunks and replays sequentially, so the recorded fault order — and
-   with it the strike/quarantine timeline — must match the sequential
-   path exactly.  A parallel-vs-sequential comparison alone can't catch
-   a bug shared by both sides' fallback, so the same walk also runs
-   with [~use_cache:false] — the naive recompute never enters the sweep
-   at all and is the independent oracle.
+(* Under injected faults the word sweep abandons its optimistic masks
+   and replays with the recording fallback, so the recorded fault order
+   — and with it the strike/quarantine timeline — must match the naive
+   recompute, which never enters the sweep at all and is the
+   independent oracle.
 
    Step order matters for coverage: the un-injected budgets bind (and
    eliminate) {e before} B0 arms the faulting EL0, so the fallback's
@@ -405,16 +393,13 @@ let test_parallel_differential_faults () =
     in
     run_walk mk steps
   in
-  let sequential = with_parallel ~domains:1 ~threshold:1 (walk true) in
-  let parallel = with_parallel ~domains:4 ~threshold:1 (walk true) in
-  let naive = with_parallel ~domains:4 ~threshold:1 (walk false) in
-  check_walks_agree ~name:"par-vs-seq-faults" sequential parallel;
-  check_walks_agree ~name:"naive-vs-par-faults" naive parallel;
+  let cached = walk true () in
+  check_walks_agree ~name:"naive-vs-seq-faults" (walk false ()) cached;
   (* the injected constraint must actually have been driven into
      quarantine, or the timeline comparison proved nothing *)
-  match List.rev parallel with
+  match List.rev cached with
   | (_, (_, _, _, health)) :: _ ->
-    Alcotest.(check string) "EL0 quarantined under parallel sweep" "quarantined"
+    Alcotest.(check string) "EL0 quarantined under the columnar sweep" "quarantined"
       (List.assoc "EL0" health)
   | [] -> Alcotest.fail "empty walk"
 
@@ -649,17 +634,13 @@ let test_word_kernels () =
         ccs)
     [ ("gen", Gn.constraints Gn.default_spec); ("syn", Syn.constraints syn) ]
 
-(* Parallel-vs-sequential on a generated layer: chunked columnar sweeps
-   with kernels under both pool settings, plus the naive oracle. *)
+(* The same whole-walk differential on a generated layer: columnar
+   sweeps with word kernels against the naive oracle. *)
 let test_generated_parallel_differential () =
   let spec = { Gn.default_spec with Gn.cores = 900; Gn.seed = 29 } in
   let merits = [ Gn.merit_name 0; Gn.merit_name 1 ] in
   let walk use_cache () = run_walk ~merits (fun () -> Gn.session ~use_cache spec) gen_steps in
-  let sequential = with_parallel ~domains:1 ~threshold:1 (walk true) in
-  let parallel = with_parallel ~domains:4 ~threshold:1 (walk true) in
-  let naive = with_parallel ~domains:4 ~threshold:1 (walk false) in
-  check_walks_agree ~name:"gen-par-vs-seq" sequential parallel;
-  check_walks_agree ~name:"gen-naive-vs-par" naive parallel
+  check_walks_agree ~name:"gen-naive-vs-seq" (walk false ()) (walk true ())
 
 let test_generator_determinism () =
   let lines spec =

@@ -1056,7 +1056,7 @@ let test_group_commit () =
   Alcotest.(check int) "no extra fsync" stats_before.Journal.syncs stats_after.Journal.syncs;
   Alcotest.(check bool) "leader fsyncs happened" true (stats_after.Journal.syncs > 0);
   Journal.close j;
-  let header, entries = ok (Journal.load ~dir ~id:"gc") in
+  let { Journal.header; entries; _ } = ok (Journal.load ~dir ~id:"gc") in
   Alcotest.(check string) "header survives" "gc" header.Journal.session;
   Alcotest.(check int) "every concurrent append persisted"
     ((workers * per_worker) + 2)
@@ -1346,7 +1346,7 @@ let test_fault_short_write_repaired () =
   Iofault.disarm ();
   ignore (ok (Journal.append j ~req:(J.Obj [ ("op", J.Str "annotate") ]) ~signature:"sig-2"));
   Journal.close j;
-  let _, entries = ok (Journal.load ~dir ~id:"sw") in
+  let { Journal.entries; _ } = ok (Journal.load ~dir ~id:"sw") in
   Alcotest.(check (list string)) "torn entry repaired away" [ "sig-1"; "sig-2" ]
     (List.map (fun e -> e.Journal.signature) entries)
 
@@ -2174,6 +2174,124 @@ let test_failed_bind_closes_listener () =
   | exception Unix.Unix_error _ -> ());
   Alcotest.(check int) "no fd leaked" before (open_fds ())
 
+(* ------------------------------------------------------------------ *)
+(* Signature versions: v1 files written before signature v2            *)
+
+(* test/fixtures/v1 holds journals and snapshots of crypto, IDCT and
+   the 2,000-core generated layer, written by the service before
+   signature v2 (headers without "sig_version"): set, retract, re-set,
+   annotate, compact, then a two-entry tail.  Each entry is the
+   fixture's id, its layer, and one more mutation to apply after
+   resuming. *)
+let v1_fixtures =
+  [
+    ("crypto-v1", "crypto", P.Retract { session = "crypto-v1"; name = "Latency Single Operation" });
+    ( "idct-v1",
+      "idct",
+      P.Set
+        { session = "idct-v1"; name = "IDCT Algorithm"; value = Value.str "chen"; decide = false } );
+    ("gen-v1", "gen", P.Retract { session = "gen-v1"; name = "GB1" });
+  ]
+
+let fixture_layers =
+  ("gen", fun ~eol:_ -> Ds_domains.Generator.session Ds_domains.Generator.default_spec)
+  :: Ds_domains.Catalog.factories
+
+let with_fixture id f =
+  let dir = tmpdir "dse_v1" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  List.iter
+    (fun ext ->
+      let data =
+        In_channel.with_open_bin (Filename.concat "fixtures/v1" (id ^ ext)) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir (id ^ ext)) (fun oc ->
+          output_string oc data))
+    [ ".journal"; ".snapshot" ];
+  f dir
+
+let first_line file = In_channel.with_open_bin file In_channel.input_line |> Option.get
+
+let last_sig ~dir ~id =
+  match List.rev (ok (Journal.load ~dir ~id)).Journal.entries with
+  | e :: _ -> e.Journal.signature
+  | [] -> Alcotest.fail "journal has no tail"
+
+let test_v1_fixtures_resume () =
+  List.iter
+    (fun (id, layer, mutation) ->
+      with_fixture id @@ fun dir ->
+      let service () =
+        Service.create (Service.config ~journal_dir:dir ~layers:fixture_layers ())
+      in
+      let resume svc =
+        reply (Service.handle svc (open_req ~session:id ~layer ~resume:true ()))
+      in
+      Alcotest.(check int) (id ^ ": fixture is v1") 1 (ok (Journal.load ~dir ~id)).Journal.sig_version;
+      let recorded = last_sig ~dir ~id in
+      let svc = service () in
+      let r = resume svc in
+      Alcotest.(check bool) (id ^ ": resumed from the snapshot") true (jbool "snapshot" r);
+      Alcotest.(check string) (id ^ ": verified v1 signature") recorded (jstr "signature" r);
+      (* the resumed lineage keeps signing v1 into its v1 file *)
+      let signed = jstr "signature" (reply (Service.handle svc mutation)) in
+      let loaded = ok (Journal.load ~dir ~id) in
+      Alcotest.(check int) (id ^ ": header still v1") 1 loaded.Journal.sig_version;
+      Alcotest.(check bool) (id ^ ": header has no version field") false
+        (contains (first_line (Journal.path ~dir ~id)) "sig_version");
+      Alcotest.(check string) (id ^ ": appended signature") signed (last_sig ~dir ~id);
+      (* a fresh service verifies the appended entry in v1 *)
+      let svc = service () in
+      Alcotest.(check string) (id ^ ": re-resumed") signed (jstr "signature" (resume svc));
+      (* compaction and branching keep the lineage's version *)
+      ignore (reply (Service.handle svc (P.Compact { session = id })));
+      Alcotest.(check int) (id ^ ": compacted journal v1") 1
+        (ok (Journal.load ~dir ~id)).Journal.sig_version;
+      Alcotest.(check int) (id ^ ": new snapshot v1") 1
+        (ok (Journal.load_snapshot ~dir ~id)).Journal.snap_sig_version;
+      let branch = id ^ "-b" in
+      ignore (reply (Service.handle svc (P.Branch { session = id; as_id = Some branch })));
+      Alcotest.(check int) (id ^ ": branch v1") 1
+        (ok (Journal.load ~dir ~id:branch)).Journal.sig_version;
+      let svc = service () in
+      Alcotest.(check string) (id ^ ": resumed after compaction") signed
+        (jstr "signature" (resume svc));
+      Alcotest.(check string) (id ^ ": branch resumed") signed
+        (jstr "signature"
+           (reply (Service.handle svc (open_req ~session:branch ~layer ~resume:true ()))));
+      (* a new session in the same directory is v2 *)
+      let fresh = id ^ "-new" in
+      ignore (reply (Service.handle svc (open_req ~session:fresh ~layer ())));
+      Alcotest.(check int) (id ^ ": new session v2") 2
+        (ok (Journal.load ~dir ~id:fresh)).Journal.sig_version;
+      Alcotest.(check bool) (id ^ ": new header names v2") true
+        (contains (first_line (Journal.path ~dir ~id:fresh)) {|"sig_version":2|}))
+    v1_fixtures
+
+(* One flipped hex digit in the last recorded signature: the v1
+   verification must still catch it. *)
+let test_v1_fixture_flipped_sig () =
+  List.iter
+    (fun (id, layer, _) ->
+      with_fixture id @@ fun dir ->
+      let file = Journal.path ~dir ~id in
+      let text = In_channel.with_open_bin file In_channel.input_all in
+      let key = {|"sig":"|} in
+      let klen = String.length key in
+      let rec last_key i =
+        if i < 0 then Alcotest.fail "no sig field"
+        else if String.sub text i klen = key then i
+        else last_key (i - 1)
+      in
+      let at = last_key (String.length text - klen) + klen in
+      let flipped = Bytes.of_string text in
+      Bytes.set flipped at (if text.[at] = '0' then '1' else '0');
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc flipped);
+      let svc = Service.create (Service.config ~journal_dir:dir ~layers:fixture_layers ()) in
+      failed P.Journal_error
+        (Service.handle svc (open_req ~session:id ~layer ~resume:true ())))
+    v1_fixtures
+
 let () =
   Alcotest.run "serve"
     [
@@ -2252,6 +2370,9 @@ let () =
             test_fault_fsync_evicts_then_recovers;
           Alcotest.test_case "torn rename aborts compaction safely" `Quick
             test_fault_torn_rename_aborts_compaction;
+          Alcotest.test_case "v1 fixtures resume and stay v1" `Quick test_v1_fixtures_resume;
+          Alcotest.test_case "v1 fixture with a flipped sig fails" `Quick
+            test_v1_fixture_flipped_sig;
         ] );
       ( "concurrency",
         [

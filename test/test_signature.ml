@@ -1,10 +1,11 @@
 (* Candidate signatures and candidate reads straight off the survivor
-   bitset: pinned digests for fixed states of two shipped layers (a
-   format drift shared by the cached and uncached paths would pass every
-   differential but not these), the id-image digest against the
-   per-core Buffer walk it replaced, [Session.candidate_page] against
-   [Session.candidates], and an allocation guard on the generated
-   layer's sweep kernel. *)
+   bitset: pinned digests, in both signature formats, for fixed states
+   of two shipped layers (a format drift shared by the cached and
+   uncached paths would pass every differential but not these), the v1
+   id-image digest against the per-core Buffer walk it replaced, the v2
+   bitset digest against a byte-by-byte reference,
+   [Session.candidate_page] against [Session.candidates], and an
+   allocation guard on the generated layer's sweep kernel. *)
 
 open Ds_layer
 module G = Ds_domains.Generator
@@ -53,8 +54,8 @@ let idct_states ~use_cache =
 (* ------------------------------------------------------------------ *)
 (* Golden signatures                                                   *)
 
-(* Digests taken before signatures were read off the id image; they
-   must never move (journals on disk carry them). *)
+(* v1 digests, taken before signatures were read off the id image; they
+   must never move (v1 journals on disk carry them). *)
 let golden =
   [
     ("gen fresh", "12f31539e3ab8f60accc3d945e1d57d1", 2000);
@@ -75,6 +76,7 @@ let test_golden () =
     (fun use_cache ->
       List.iter
         (fun (name, s) ->
+          let s = Session.with_v1_signatures s in
           let digest, count =
             match List.find_opt (fun (n, _, _) -> String.equal n name) golden with
             | Some (_, d, c) -> (d, c)
@@ -85,6 +87,43 @@ let test_golden () =
           Alcotest.(check string) label digest (Session.candidate_signature s);
           (* the second read of a cached state is a memo hit: same bytes *)
           Alcotest.(check string) (label ^ " again") digest (Session.candidate_signature s))
+        (gen_states ~use_cache @ idct_states ~use_cache))
+    [ true; false ]
+
+(* v2 digests of the same states: what every new journal records. *)
+let golden_v2 =
+  [
+    ("gen fresh", "476e910bb3e8a2b9192577ff3a91f938");
+    ("gen GB0", "31eb543819e27d2605c514e012b80091");
+    ("gen all budgets", "7f06e13debddc888046ddfa9eac25bd3");
+    ("gen fam2", "1c5fd19e16dbcf1096a1c2b177e60b33");
+    ("gen Q0", "a41f97a4b851b5e8a45f3db5752fcda5");
+    ("gen retract GB0", "fc48097f9b91ab5a6fc394747de26fe5");
+    ("idct fresh", "ae527c1bcf7483c4f8a13aeedddfa903");
+    ("idct word", "991e3987445b9067f5db005752754795");
+    ("idct precision", "3956e4083151244950a86780cb0311d1");
+    ("idct tech", "c27ea11e16f10a2a94c89e3fb7782b9f");
+    ("idct algo", "acf9a2716497ec13edc24ed1c0929cb0");
+  ]
+
+let test_golden_v2 () =
+  List.iter
+    (fun use_cache ->
+      List.iter
+        (fun (name, s) ->
+          let digest =
+            match List.assoc_opt name golden_v2 with
+            | Some d -> d
+            | None -> Alcotest.failf "no v2 golden entry for %s" name
+          in
+          let label = Printf.sprintf "%s (use_cache:%b)" name use_cache in
+          Alcotest.(check int) (label ^ " version") 2 (Session.signature_version s);
+          Alcotest.(check string) label digest (Session.candidate_signature s);
+          Alcotest.(check string) (label ^ " again") digest (Session.candidate_signature s);
+          (* the memo is keyed by version: a v1 read of the same state
+             after the v2 one is not served the v2 digest *)
+          Alcotest.(check bool) (label ^ " v1 differs") false
+            (String.equal digest (Session.candidate_signature (Session.with_v1_signatures s))))
         (gen_states ~use_cache @ idct_states ~use_cache))
     [ true; false ]
 
@@ -196,6 +235,71 @@ let test_digest_domains () =
     (here :: List.map Stdlib.Domain.join others)
 
 (* ------------------------------------------------------------------ *)
+(* Bitset digest vs a byte-by-byte reference                          *)
+
+(* The v2 format spelled out independently: the prefix, the MD5 of the
+   id image, then each 32-bit word of the bitset — assembled from
+   [Bitset.mem], not [Bitset.word] — as 4 little-endian bytes. *)
+let v2_reference qids ~prefix bits =
+  let n = Bitset.length bits in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf prefix;
+  Buffer.add_string buf
+    (Digest.string (String.concat "" (List.init n (fun i -> "#" ^ qids.(i)))));
+  for w = 0 to ((n + 31) / 32) - 1 do
+    let v = ref 0 in
+    for b = 0 to 31 do
+      let i = (32 * w) + b in
+      if i < n && Bitset.mem bits i then v := !v lor (1 lsl b)
+    done;
+    for k = 0 to 3 do
+      Buffer.add_char buf (Char.chr ((!v lsr (8 * k)) land 0xFF))
+    done
+  done;
+  Digest.string (Buffer.contents buf)
+
+(* A store over the first [n] entries of [store], so the bitset lengths
+   drawn below (word-aligned or ragged) are always the store's own. *)
+let store_prefix n =
+  let qids, store = store in
+  (qids, Columnar.build (Array.init n (Columnar.entry store)))
+
+let prop_digest_bits =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+    (QCheck2.Test.make ~count:500 ~name:"digest_bits = byte reference" ~print:print_case
+       gen_bitset (fun (prefix, bits) ->
+         let qids, store = store_prefix (Bitset.length bits) in
+         Digest.equal (Columnar.digest_bits store ~prefix bits) (v2_reference qids ~prefix bits)))
+
+let test_digest_bits_edges () =
+  let qids, store = store in
+  let check label bits =
+    Alcotest.(check string) label
+      (Digest.to_hex (v2_reference qids ~prefix:"p" bits))
+      (Digest.to_hex (Columnar.digest_bits store ~prefix:"p" bits))
+  in
+  check "empty" (Bitset.create store_len);
+  check "full, ragged last word" (Bitset.create_full store_len);
+  check "last bit only" (Bitset.of_ids ~length:store_len [| store_len - 1 |]);
+  check "bit 31 of a word" (Bitset.of_ids ~length:store_len [| 31; 63 |]);
+  let qids0, store0 = store_prefix 0 in
+  Alcotest.(check string) "zero-length store"
+    (Digest.to_hex (v2_reference qids0 ~prefix:"p" (Bitset.create 0)))
+    (Digest.to_hex (Columnar.digest_bits store0 ~prefix:"p" (Bitset.create 0)));
+  (* the fingerprint is what separates two layers whose survivors
+     have the same bits *)
+  let _, other = store_prefix (store_len - 1) in
+  Alcotest.(check bool) "fingerprints differ" false
+    (Digest.equal (Columnar.fingerprint store) (Columnar.fingerprint other));
+  List.iter
+    (fun len ->
+      Alcotest.check_raises
+        (Printf.sprintf "bitset of length %d refused" len)
+        (Invalid_argument "Columnar.digest_bits: bitset length differs from the store")
+        (fun () -> ignore (Columnar.digest_bits store ~prefix:"" (Bitset.create len))))
+    [ store_len - 1; store_len + 1 ]
+
+(* ------------------------------------------------------------------ *)
 (* candidate_page vs candidates                                        *)
 
 let check_pages label s =
@@ -233,45 +337,46 @@ let test_candidate_page () =
    still alive.  The kernel reads flat merit columns without boxing; the
    closure-per-read version allocated about 15 words per core. *)
 let test_sweep_allocation () =
-  let d0 = Parallel.domain_count () in
-  Parallel.set_domain_count 1;
-  Fun.protect
-    ~finally:(fun () -> Parallel.set_domain_count d0)
-    (fun () ->
-      let spec = { G.default_spec with cores = 20_000 } in
-      let s = G.session spec in
-      let s =
-        List.fold_left
-          (fun s i -> ok (Session.set s (G.budget_name i) (Value.real 1000.0)))
-          s
-          (List.init spec.G.ccs Fun.id)
-      in
-      ignore (Session.candidate_count s);
-      let rebind s v =
-        let s = ok (Session.retract s (G.budget_name 0)) in
-        ok (Session.set s (G.budget_name 0) (Value.real v))
-      in
-      (* one warm-up round so the lineage's verdict buffers exist *)
-      let s = rebind s 190.25 in
-      ignore (Session.candidate_count s);
-      let s = rebind s 191.75 in
-      let w0 = Gc.minor_words () in
-      let survivors = Session.candidate_count s in
-      let words = Gc.minor_words () -. w0 in
-      let per_core = words /. float_of_int spec.G.cores in
-      Alcotest.(check bool) "the sweep pruned something" true (survivors < spec.G.cores);
-      if per_core >= 2.0 then
-        Alcotest.failf "sweep allocated %.2f minor words per core (%.0f words)" per_core words)
+  let spec = { G.default_spec with cores = 20_000 } in
+  let s = G.session spec in
+  let s =
+    List.fold_left
+      (fun s i -> ok (Session.set s (G.budget_name i) (Value.real 1000.0)))
+      s
+      (List.init spec.G.ccs Fun.id)
+  in
+  ignore (Session.candidate_count s);
+  let rebind s v =
+    let s = ok (Session.retract s (G.budget_name 0)) in
+    ok (Session.set s (G.budget_name 0) (Value.real v))
+  in
+  (* one warm-up round so the lineage's verdict buffers exist *)
+  let s = rebind s 190.25 in
+  ignore (Session.candidate_count s);
+  let s = rebind s 191.75 in
+  let w0 = Gc.minor_words () in
+  let survivors = Session.candidate_count s in
+  let words = Gc.minor_words () -. w0 in
+  let per_core = words /. float_of_int spec.G.cores in
+  Alcotest.(check bool) "the sweep pruned something" true (survivors < spec.G.cores);
+  if per_core >= 2.0 then
+    Alcotest.failf "sweep allocated %.2f minor words per core (%.0f words)" per_core words
 
 let () =
   Alcotest.run "signature"
     [
-      ("golden", [ Alcotest.test_case "fixed states" `Quick test_golden ]);
+      ( "golden",
+        [
+          Alcotest.test_case "fixed states" `Quick test_golden;
+          Alcotest.test_case "fixed states v2" `Quick test_golden_v2;
+        ] );
       ( "digest",
         [
           prop_digest_ids;
           Alcotest.test_case "edge shapes" `Quick test_digest_edges;
           Alcotest.test_case "concurrent domains" `Quick test_digest_domains;
+          prop_digest_bits;
+          Alcotest.test_case "v2 edge shapes" `Quick test_digest_bits_edges;
         ] );
       ("candidate_page", [ Alcotest.test_case "vs candidates" `Quick test_candidate_page ]);
       ("allocation", [ Alcotest.test_case "generator sweep" `Quick test_sweep_allocation ]);
